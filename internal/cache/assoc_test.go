@@ -12,12 +12,12 @@ func TestAssocAvoidsDirectMappedConflict(t *testing.T) {
 	// in a 2-way one (4 frames = 2 sets of 2; 1 % 2 == 5 % 2 but the set
 	// holds both).
 	c := NewSLCAssoc(4, 2)
-	c.Insert(1, Shared)
-	_, victim := c.Insert(5, Shared)
-	if victim != nil {
+	c.Insert(1, Shared, nil)
+	_, victim, evicted := c.Insert(5, Shared, nil)
+	if evicted {
 		t.Fatalf("2-way cache evicted on second insert: %+v", victim)
 	}
-	if c.Lookup(1) == nil || c.Lookup(5) == nil {
+	if c.Lookup(1, nil) == nil || c.Lookup(5, nil) == nil {
 		t.Fatal("both blocks should be resident")
 	}
 }
@@ -25,41 +25,41 @@ func TestAssocAvoidsDirectMappedConflict(t *testing.T) {
 func TestAssocLRUReplacement(t *testing.T) {
 	c := NewSLCAssoc(4, 2) // 2 sets x 2 ways
 	// Fill set 1 (odd blocks).
-	c.Insert(1, Shared)
-	c.Insert(3, Shared)
+	c.Insert(1, Shared, nil)
+	c.Insert(3, Shared, nil)
 	// Touch 1 so 3 becomes the LRU way.
-	if c.Lookup(1) == nil {
+	if c.Lookup(1, nil) == nil {
 		t.Fatal("lookup failed")
 	}
-	_, victim := c.Insert(5, Shared)
-	if victim == nil || victim.Block != 3 {
+	_, victim, evicted := c.Insert(5, Shared, nil)
+	if !evicted || victim.Block != 3 {
 		t.Fatalf("victim = %+v, want block 3 (LRU)", victim)
 	}
-	if c.Lookup(1) == nil || c.Lookup(5) == nil {
+	if c.Lookup(1, nil) == nil || c.Lookup(5, nil) == nil {
 		t.Fatal("MRU block or new block lost")
 	}
 }
 
 func TestAssocInvalidateFreesWay(t *testing.T) {
 	c := NewSLCAssoc(4, 2)
-	c.Insert(1, Shared)
-	c.Insert(3, Dirty)
-	c.Invalidate(1)
-	_, victim := c.Insert(5, Shared)
-	if victim != nil {
+	c.Insert(1, Shared, nil)
+	c.Insert(3, Dirty, nil)
+	c.Invalidate(1, nil)
+	_, victim, evicted := c.Insert(5, Shared, nil)
+	if evicted {
 		t.Fatalf("insert into invalidated way evicted %+v", victim)
 	}
-	if c.Lookup(3) == nil || c.Lookup(5) == nil {
+	if c.Lookup(3, nil) == nil || c.Lookup(5, nil) == nil {
 		t.Fatal("resident blocks lost")
 	}
 }
 
 func TestAssocReinsertSameBlock(t *testing.T) {
 	c := NewSLCAssoc(4, 2)
-	l, _ := c.Insert(1, Shared)
+	l, _, _ := c.Insert(1, Shared, nil)
 	l.PrefetchBit = true
-	l2, victim := c.Insert(1, Dirty)
-	if victim != nil || l2.PrefetchBit || l2.State != Dirty {
+	l2, victim, evicted := c.Insert(1, Dirty, nil)
+	if evicted || l2.PrefetchBit || l2.State != Dirty {
 		t.Fatalf("reinsert wrong: %+v victim=%v", l2, victim)
 	}
 	if c.Valid() != 1 {
@@ -95,8 +95,8 @@ func TestFullyAssociativeNoEvictionsProperty(t *testing.T) {
 		c := NewSLCAssoc(frames, frames) // one set: fully associative
 		for _, r := range refs {
 			b := memsys.Block(r % frames)
-			if c.Lookup(b) == nil {
-				if _, victim := c.Insert(b, Shared); victim != nil {
+			if c.Lookup(b, nil) == nil {
+				if _, _, evicted := c.Insert(b, Shared, nil); evicted {
 					return false
 				}
 			}
@@ -135,19 +135,19 @@ func TestAssocMatchesReferenceModelProperty(t *testing.T) {
 			set := int(uint64(b) % uint64(nsets))
 			l := model[set]
 			if op.Inv {
-				c.Invalidate(b)
+				c.Invalidate(b, nil)
 				if i := find(l, b); i >= 0 {
 					model[set] = append(l[:i], l[i+1:]...)
 				}
 				continue
 			}
 			// Simulate a demand fill: lookup (refresh) or insert.
-			if c.Lookup(b) != nil {
+			if c.Lookup(b, nil) != nil {
 				i := find(l, b)
 				model[set] = append(append(l[:i], l[i+1:]...), b)
 				continue
 			}
-			c.Insert(b, Shared)
+			c.Insert(b, Shared, nil)
 			if len(l) == ways {
 				l = l[1:] // evict LRU
 			}
@@ -155,7 +155,7 @@ func TestAssocMatchesReferenceModelProperty(t *testing.T) {
 		}
 		for set, l := range model {
 			for _, b := range l {
-				if c.Lookup(b) == nil {
+				if c.Lookup(b, nil) == nil {
 					return false
 				}
 				_ = set

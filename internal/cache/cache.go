@@ -11,7 +11,7 @@ import "ccsim/internal/memsys"
 
 // LineState is an SLC line's stable coherence state. The SLC needs no
 // transient states because pending accesses are kept in the SLWB (paper §2).
-type LineState int
+type LineState uint8
 
 const (
 	Invalid LineState = iota
@@ -32,18 +32,21 @@ func (s LineState) String() string {
 }
 
 // Line is one SLC line plus the per-line bits each extension adds
-// (paper Table 1).
+// (paper Table 1). Word versions for data verification are kept by the
+// controller, per block, only when verification is on.
 type Line struct {
 	Block memsys.Block
+
+	// ID is the controller's dense number for Block, stamped after a fill
+	// so a victim names its block record without a lookup. The SLC never
+	// reads it.
+	ID int32
+
 	State LineState
 
 	// P: set when the block arrived by prefetch and has not yet been
 	// referenced by the processor (one of P's two bits per line).
 	PrefetchBit bool
-
-	// CW: remaining competitive count; a foreign update when the counter is
-	// zero invalidates the copy. Preset on load and on every local access.
-	CWCount int
 
 	// CW+M: set when the processor has written the block since the last
 	// update left for home (the extra bit migratory detection needs).
@@ -56,19 +59,25 @@ type Line struct {
 	MigSupplied bool
 	Written     bool
 
-	// Data carries the block's word versions when data verification is on.
-	Data memsys.BlockData
+	// CW: remaining competitive count; a foreign update when the counter is
+	// zero invalidates the copy. Preset on load and on every local access.
+	CWCount int
 }
 
 // SLC is the second-level cache. frames == 0 selects the paper's default
-// infinite cache (every block has its own frame); otherwise the cache has
-// that many one-block frames arranged in ways-associative sets with LRU
-// replacement (ways == 1 is the paper's direct-mapped organization).
+// infinite cache, in which every block has its own frame; otherwise the
+// cache has that many one-block frames arranged in ways-associative sets
+// with LRU replacement (ways == 1 is the paper's direct-mapped
+// organization).
+//
+// An infinite cache's frames belong to the caller: Lookup, Insert and
+// Invalidate take slot, block b's own frame, and use it only when the cache
+// is infinite (finite callers may pass nil). The controller keeps that frame
+// in its per-block record, so no access hashes.
 type SLC struct {
 	frames int
 	ways   int
 	nsets  int
-	inf    map[memsys.Block]*Line
 	array  []Line   // nsets * ways
 	age    []uint64 // LRU timestamps, parallel to array
 	tick   uint64
@@ -87,7 +96,6 @@ func NewSLCAssoc(frames, ways int) *SLC {
 	}
 	c := &SLC{frames: frames, ways: ways}
 	if frames == 0 {
-		c.inf = make(map[memsys.Block]*Line)
 		return c
 	}
 	if frames%ways != 0 {
@@ -111,11 +119,17 @@ func (c *SLC) set(b memsys.Block) (lo, hi int) {
 	return s * c.ways, (s + 1) * c.ways
 }
 
+// Infinite reports whether every block has its own (caller-held) frame.
+func (c *SLC) Infinite() bool { return c.frames == 0 }
+
 // Lookup returns the line holding block b, or nil if b is not present in a
 // valid state. A hit refreshes the line's LRU age.
-func (c *SLC) Lookup(b memsys.Block) *Line {
+func (c *SLC) Lookup(b memsys.Block, slot *Line) *Line {
 	if c.frames == 0 {
-		return c.inf[b]
+		if slot.State == Invalid {
+			return nil
+		}
+		return slot
 	}
 	lo, hi := c.set(b)
 	for i := lo; i < hi; i++ {
@@ -131,73 +145,72 @@ func (c *SLC) Lookup(b memsys.Block) *Line {
 
 // Insert installs block b in state st and returns its line. If a valid line
 // holding a different block had to be displaced (the set's LRU way), a copy
-// of it is returned as victim. Inserting over an existing line for the same
-// block resets the extension bits (a fresh fill).
-func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim *Line) {
+// of it is returned as victim with evicted set. Inserting over an existing
+// line for the same block resets the extension bits (a fresh fill).
+func (c *SLC) Insert(b memsys.Block, st LineState, slot *Line) (line *Line, victim Line, evicted bool) {
 	if st == Invalid {
 		panic("cache: inserting an invalid line")
 	}
 	if c.frames == 0 {
-		l := &Line{Block: b, State: st}
-		c.inf[b] = l
-		return l, nil
+		*slot = Line{Block: b, State: st}
+		return slot, victim, false
 	}
 	lo, hi := c.set(b)
-	slot := -1
-	for i := lo; i < hi; i++ {
-		l := &c.array[i]
+	i := -1
+	for j := lo; j < hi; j++ {
+		l := &c.array[j]
 		if l.State != Invalid && l.Block == b {
-			slot = i
+			i = j
 			break
 		}
-		if l.State == Invalid && slot < 0 {
-			slot = i
+		if l.State == Invalid && i < 0 {
+			i = j
 		}
 	}
-	if slot < 0 {
+	if i < 0 {
 		// Set full: evict the least recently used way.
-		slot = lo
-		for i := lo + 1; i < hi; i++ {
-			if c.age[i] < c.age[slot] {
-				slot = i
+		i = lo
+		for j := lo + 1; j < hi; j++ {
+			if c.age[j] < c.age[i] {
+				i = j
 			}
 		}
-		v := c.array[slot]
-		victim = &v
+		victim, evicted = c.array[i], true
 	}
 	c.tick++
-	c.age[slot] = c.tick
-	c.array[slot] = Line{Block: b, State: st}
-	return &c.array[slot], victim
+	c.age[i] = c.tick
+	c.array[i] = Line{Block: b, State: st}
+	return &c.array[i], victim, evicted
 }
 
 // Invalidate removes block b if present and returns the line content it had
-// (nil if it was not present).
-func (c *SLC) Invalidate(b memsys.Block) *Line {
+// (ok is false if it was not present).
+func (c *SLC) Invalidate(b memsys.Block, slot *Line) (old Line, ok bool) {
 	if c.frames == 0 {
-		l := c.inf[b]
-		if l != nil {
-			delete(c.inf, b)
+		if slot.State == Invalid {
+			return old, false
 		}
-		return l
+		old = *slot
+		slot.State = Invalid
+		return old, true
 	}
 	lo, hi := c.set(b)
 	for i := lo; i < hi; i++ {
 		l := &c.array[i]
 		if l.State != Invalid && l.Block == b {
-			v := *l
+			old = *l
 			l.State = Invalid
-			return &v
+			return old, true
 		}
 	}
-	return nil
+	return old, false
 }
 
-// Valid returns the number of valid lines (O(frames) for finite caches).
+// Valid returns the number of valid lines of a finite cache, in
+// O(frames). An infinite cache's frames are the caller's, so it cannot
+// count them and panics.
 func (c *SLC) Valid() int {
-	if c.frames == 0 {
-		return len(c.inf)
-	}
+	c.mustBeFinite("Valid")
 	n := 0
 	for i := range c.array {
 		if c.array[i].State != Invalid {
@@ -207,19 +220,22 @@ func (c *SLC) Valid() int {
 	return n
 }
 
-// ForEach calls fn for every valid line. Iteration order is unspecified in
-// infinite mode; fn must not insert or invalidate.
+// ForEach calls fn for every valid frame of a finite cache, in frame
+// order; fn must not insert or invalidate. An infinite cache's frames are
+// the caller's, so it cannot walk them and panics rather than silently
+// visit nothing (internal/core walks its own records instead).
 func (c *SLC) ForEach(fn func(*Line)) {
-	if c.frames == 0 {
-		for _, l := range c.inf {
-			fn(l)
-		}
-		return
-	}
+	c.mustBeFinite("ForEach")
 	for i := range c.array {
 		if c.array[i].State != Invalid {
 			fn(&c.array[i])
 		}
+	}
+}
+
+func (c *SLC) mustBeFinite(op string) {
+	if c.frames == 0 {
+		panic("cache: " + op + " on an infinite SLC, whose frames are the caller's")
 	}
 }
 

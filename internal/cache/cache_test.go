@@ -9,16 +9,17 @@ import (
 
 func TestSLCInfiniteNeverEvicts(t *testing.T) {
 	c := NewSLC(0)
+	slots := make([]Line, 1000) // an infinite cache's frames are the caller's
 	for b := memsys.Block(0); b < 1000; b++ {
-		if _, victim := c.Insert(b, Shared); victim != nil {
+		if _, _, evicted := c.Insert(b, Shared, &slots[b]); evicted {
 			t.Fatalf("infinite cache evicted on insert of %d", b)
 		}
 	}
-	if c.Valid() != 1000 {
-		t.Fatalf("Valid = %d, want 1000", c.Valid())
+	if n := validSlots(slots); n != 1000 {
+		t.Fatalf("%d valid slots, want 1000", n)
 	}
 	for b := memsys.Block(0); b < 1000; b++ {
-		if c.Lookup(b) == nil {
+		if c.Lookup(b, &slots[b]) == nil {
 			t.Fatalf("block %d missing", b)
 		}
 	}
@@ -26,26 +27,26 @@ func TestSLCInfiniteNeverEvicts(t *testing.T) {
 
 func TestSLCFiniteDirectMappedConflict(t *testing.T) {
 	c := NewSLC(4)
-	c.Insert(1, Shared)
+	c.Insert(1, Shared, nil)
 	// Block 5 maps to the same frame (5 % 4 == 1).
-	line, victim := c.Insert(5, Dirty)
-	if victim == nil || victim.Block != 1 {
+	line, victim, evicted := c.Insert(5, Dirty, nil)
+	if !evicted || victim.Block != 1 {
 		t.Fatalf("expected victim block 1, got %v", victim)
 	}
 	if line.Block != 5 || line.State != Dirty {
 		t.Fatalf("inserted line wrong: %+v", line)
 	}
-	if c.Lookup(1) != nil {
+	if c.Lookup(1, nil) != nil {
 		t.Fatal("victim still present")
 	}
 }
 
 func TestSLCInsertSameBlockNoVictim(t *testing.T) {
 	c := NewSLC(4)
-	l, _ := c.Insert(2, Shared)
+	l, _, _ := c.Insert(2, Shared, nil)
 	l.PrefetchBit = true
-	l2, victim := c.Insert(2, Dirty)
-	if victim != nil {
+	l2, _, evicted := c.Insert(2, Dirty, nil)
+	if evicted {
 		t.Fatal("reinsert of same block reported a victim")
 	}
 	if l2.PrefetchBit {
@@ -58,23 +59,23 @@ func TestSLCInsertSameBlockNoVictim(t *testing.T) {
 
 func TestSLCInvalidate(t *testing.T) {
 	c := NewSLC(8)
-	c.Insert(3, Dirty)
-	old := c.Invalidate(3)
-	if old == nil || old.State != Dirty {
-		t.Fatalf("Invalidate returned %v", old)
+	c.Insert(3, Dirty, nil)
+	old, ok := c.Invalidate(3, nil)
+	if !ok || old.State != Dirty {
+		t.Fatalf("Invalidate returned %v, %v", old, ok)
 	}
-	if c.Lookup(3) != nil {
+	if c.Lookup(3, nil) != nil {
 		t.Fatal("block still present after invalidate")
 	}
-	if c.Invalidate(3) != nil {
+	if _, ok := c.Invalidate(3, nil); ok {
 		t.Fatal("second invalidate returned a line")
 	}
 	// Invalidate of a conflicting (different) block must not touch the line.
-	c.Insert(3, Shared)
-	if c.Invalidate(11) != nil { // 11 % 8 == 3 % 8
+	c.Insert(3, Shared, nil)
+	if _, ok := c.Invalidate(11, nil); ok { // 11 % 8 == 3 % 8
 		t.Fatal("invalidate of absent conflicting block removed the line")
 	}
-	if c.Lookup(3) == nil {
+	if c.Lookup(3, nil) == nil {
 		t.Fatal("line lost by invalidate of a different block")
 	}
 }
@@ -85,21 +86,57 @@ func TestSLCInsertInvalidPanics(t *testing.T) {
 			t.Fatal("Insert(Invalid) did not panic")
 		}
 	}()
-	NewSLC(4).Insert(0, Invalid)
+	NewSLC(4).Insert(0, Invalid, nil)
 }
 
 func TestSLCForEach(t *testing.T) {
-	for _, sets := range []int{0, 16} {
-		c := NewSLC(sets)
-		for b := memsys.Block(0); b < 10; b++ {
-			c.Insert(b, Shared)
-		}
-		n := 0
-		c.ForEach(func(l *Line) { n++ })
-		if n != 10 {
-			t.Fatalf("sets=%d: ForEach visited %d, want 10", sets, n)
+	c := NewSLC(16)
+	for b := memsys.Block(0); b < 10; b++ {
+		c.Insert(b, Shared, nil)
+	}
+	n := 0
+	c.ForEach(func(l *Line) { n++ })
+	if n != 10 {
+		t.Fatalf("ForEach visited %d, want 10", n)
+	}
+	// An infinite cache's frames are the caller's: Insert and Invalidate
+	// work on them, but the cache cannot walk or count them, and says so.
+	inf := NewSLC(0)
+	slots := make([]Line, 10)
+	for b := range slots {
+		inf.Insert(memsys.Block(b), Shared, &slots[b])
+	}
+	inf.Invalidate(3, &slots[3])
+	if _, ok := inf.Invalidate(3, &slots[3]); ok {
+		t.Fatal("second Invalidate of block 3 found it present")
+	}
+	if n := validSlots(slots); n != 9 {
+		t.Fatalf("%d valid slots, want 9", n)
+	}
+	for name, f := range map[string]func(){
+		"ForEach": func() { inf.ForEach(func(*Line) {}) },
+		"Valid":   func() { inf.Valid() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("infinite %s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// validSlots counts the valid lines among an infinite cache's frames.
+func validSlots(slots []Line) int {
+	n := 0
+	for i := range slots {
+		if slots[i].State != Invalid {
+			n++
 		}
 	}
+	return n
 }
 
 // Property: a finite SLC holds at most Sets() blocks, and Lookup agrees
@@ -114,10 +151,10 @@ func TestSLCConsistencyProperty(t *testing.T) {
 		for _, op := range ops {
 			b := memsys.Block(op.B % 32)
 			if op.Inv {
-				c.Invalidate(b)
+				c.Invalidate(b, nil)
 				delete(ref, b)
 			} else {
-				c.Insert(b, Shared)
+				c.Insert(b, Shared, nil)
 				// Displace any block sharing the frame.
 				for rb := range ref {
 					if rb%8 == b%8 && rb != b {
@@ -131,7 +168,7 @@ func TestSLCConsistencyProperty(t *testing.T) {
 			return false
 		}
 		for b := memsys.Block(0); b < 32; b++ {
-			if (c.Lookup(b) != nil) != ref[b] {
+			if (c.Lookup(b, nil) != nil) != ref[b] {
 				return false
 			}
 		}
@@ -288,6 +325,31 @@ func TestFIFOOverflowPanics(t *testing.T) {
 	f := NewFIFO[int](1)
 	f.Push(1)
 	f.Push(2)
+}
+
+// TestFIFORingAllocatesNothing pins the fixed ring: push/pop cycles far past
+// the capacity allocate nothing and keep FIFO order and the high-water mark.
+func TestFIFORingAllocatesNothing(t *testing.T) {
+	f := NewFIFO[int](4)
+	next, expect := 0, 0
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			f.Push(next)
+			next++
+		}
+		for i := 0; i < 3; i++ {
+			if v, ok := f.Pop(); !ok || v != expect {
+				t.Fatalf("Pop = %d,%v want %d", v, ok, expect)
+			}
+			expect++
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("push/pop cycle allocates %.1f objects, want 0", allocs)
+	}
+	if f.HighWater != 3 || !f.Empty() {
+		t.Fatalf("HighWater = %d, Len = %d; want 3, 0", f.HighWater, f.Len())
+	}
 }
 
 // Property: FIFO preserves order for any push/pop interleaving that

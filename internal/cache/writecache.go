@@ -17,6 +17,7 @@ type WCEntry struct {
 // before they are issued (paper §3.3). The recommended size is four blocks.
 type WriteCache struct {
 	entries []WCEntry
+	drained []WCEntry // DrainAll's result buffer, reused
 	// Statistics.
 	writes    uint64
 	combined  uint64 // writes merged into an already-allocated entry
@@ -35,6 +36,10 @@ func (w *WriteCache) Size() int { return len(w.entries) }
 func (w *WriteCache) idx(b memsys.Block) int {
 	return int(uint64(b) % uint64(len(w.entries)))
 }
+
+// Frame returns the index of the frame block b maps to, so a controller
+// can keep per-entry state of its own alongside.
+func (w *WriteCache) Frame(b memsys.Block) int { return w.idx(b) }
 
 // Write records a write to word word of block b, allocating a frame if
 // needed. If the frame held a different block, that block is victimized and
@@ -96,15 +101,17 @@ func (w *WriteCache) Remove(b memsys.Block) (WCEntry, bool) {
 }
 
 // DrainAll removes and returns every valid entry, in frame order. Used at
-// releases, when all combined writes must be propagated.
+// releases, when all combined writes must be propagated. The returned slice
+// is reused by the next call.
 func (w *WriteCache) DrainAll() []WCEntry {
-	var out []WCEntry
+	out := w.drained[:0]
 	for i := range w.entries {
 		if w.entries[i].Valid {
 			out = append(out, w.entries[i])
 			w.entries[i].Valid = false
 		}
 	}
+	w.drained = out
 	return out
 }
 

@@ -24,7 +24,9 @@ const (
 // mshr is one lockup-free pending transaction. The SLC itself has no
 // transient states; everything in flight lives here (paper §2: "all pending
 // accesses are kept in the SLWB of the requesting node until they are
-// completed").
+// completed"). A block's record points at its mshr while the transaction
+// is in flight; finished entries return to the controller's free list with
+// the capacity of their slices.
 type mshr struct {
 	kind         mshrKind
 	prefetchOnly bool // a prefetch no demand reference has merged with yet
@@ -33,7 +35,7 @@ type mshr struct {
 
 	readers   []readerWait    // demand readers to unblock at fill
 	performed []func()        // write-performed callbacks (sequential consistency)
-	after     []func()        // deferred actions to run at completion
+	after     []afterAct      // deferred actions to run at completion
 	nWrites   int             // writes merged into this entry
 	obs       []int           // write obligations this transaction performs
 	words     []int           // words written through this transaction (ownership)
@@ -47,14 +49,33 @@ type readerWait struct {
 	fn   func()
 }
 
+// afterAct is an action deferred until a transaction completes: a buffered
+// write to apply again (deferWrite) or, when flush is set, a write-cache
+// entry of block id to flush with its obligations (doFlush).
+type afterAct struct {
+	flush bool
+	w     flwbWrite
+	e     cache.WCEntry
+	id    int32
+	obs   []int
+}
+
 // flwbWrite is one first-level write-buffer entry. ob is the write's
 // obligation id: releases and barriers wait for all obligations issued
 // before them (and only those) to be globally performed.
 type flwbWrite struct {
 	block     memsys.Block
+	id        int32
 	word      int
 	performed func()
 	ob        int
+}
+
+// wcFrame is the controller's state for one write-cache frame: the id of
+// the block buffered there and the obligations its writes carry.
+type wcFrame struct {
+	id  int32
+	obs []int
 }
 
 // relKind distinguishes the two drain-point operations in the release
@@ -99,18 +120,27 @@ type CacheCtl struct {
 	slc    *cache.SLC
 	slcRes *sim.Resource
 
-	flwb       *cache.FIFO[flwbWrite]
-	flwbWaiter func()
-	draining   bool
+	flwb     *cache.FIFO[flwbWrite]
+	draining bool
+	// A write that found the FLWB full waits in flwbWait until a slot
+	// frees; flwbAccepted runs once it is buffered.
+	flwbWaiting  bool
+	flwbWait     flwbWrite
+	flwbAccepted func()
 
-	mshrs     map[memsys.Block]*mshr
-	slwbUsed  int
-	wbPending map[memsys.Block]bool
-	wbRequeue map[memsys.Block]int // stamp of a follow-up writeback awaiting the first's ack
-	lastGrant map[memsys.Block]int // grant generation of the dirty copy we hold (writeback tag)
+	// Per-block state, indexed by block id (see blocks.go). ver exists
+	// only under data verification.
+	recs    table[blockRec]
+	ver     table[verRec]
+	msFree  []*mshr
+	pending int // records with a transaction in flight
+	wbCount int // records with a writeback in flight
 
-	wc *cache.WriteCache
-	pf *Prefetcher
+	slwbUsed int
+
+	wc      *cache.WriteCache
+	wcState []wcFrame // parallel to the write cache's frames
+	pf      *Prefetcher
 
 	// Write obligations: every buffered write gets an id; a release with
 	// mark m fires once every obligation with id < m has performed. This
@@ -118,7 +148,6 @@ type CacheCtl struct {
 	// do not delay it.
 	nextOb  int
 	liveObs int
-	wcObs   map[memsys.Block][]int // obligations buffered per write-cache entry
 
 	deferredWrites []flwbWrite
 
@@ -127,19 +156,12 @@ type CacheCtl struct {
 	lockWaiters   map[memsys.Block]func()
 	barWaiters    map[int]func()
 
-	// Data-value verification bookkeeping.
-	lastSeen map[memsys.Block]*memsys.BlockData // versions this processor observed
-	wbData   map[memsys.Block]memsys.BlockData  // payloads of in-flight writebacks
-	wbMask   map[memsys.Block]memsys.WordMask
-
 	// jobFree recycles the pooled SLC-occupancy events; see slcJob.
 	jobFree []*slcJob
 
 	// Measurements.
-	Cls       *stats.Classifier
-	Misses    stats.Misses
-	CStats    CacheStats
-	missStart map[memsys.Block]sim.Time
+	Misses stats.Misses
+	CStats CacheStats
 }
 
 func newSLC(p Params) *cache.SLC {
@@ -158,21 +180,12 @@ func newCacheCtl(s *System, id int) *CacheCtl {
 		slc:         newSLC(s.P),
 		slcRes:      sim.NewResource(s.Eng, fmt.Sprintf("slc%d", id)),
 		flwb:        cache.NewFIFO[flwbWrite](s.P.FLWBEntries),
-		mshrs:       make(map[memsys.Block]*mshr),
-		wbPending:   make(map[memsys.Block]bool),
-		wbRequeue:   make(map[memsys.Block]int),
-		lastGrant:   make(map[memsys.Block]int),
 		lockWaiters: make(map[memsys.Block]func()),
-		wcObs:       make(map[memsys.Block][]int),
-		lastSeen:    make(map[memsys.Block]*memsys.BlockData),
-		wbData:      make(map[memsys.Block]memsys.BlockData),
-		wbMask:      make(map[memsys.Block]memsys.WordMask),
 		barWaiters:  make(map[int]func()),
-		Cls:         stats.NewClassifier(),
-		missStart:   make(map[memsys.Block]sim.Time),
 	}
 	if s.P.CW {
 		c.wc = cache.NewWriteCache(s.P.WriteCacheBlocks)
+		c.wcState = make([]wcFrame, s.P.WriteCacheBlocks)
 	}
 	if s.P.P {
 		c.pf = NewPrefetcher(s.P.PrefetchMaxK, s.P.PrefetchHighMark, s.P.PrefetchLowMark)
@@ -187,8 +200,68 @@ func (c *CacheCtl) Prefetcher() *Prefetcher { return c.pf }
 func (c *CacheCtl) WriteCache() *cache.WriteCache { return c.wc }
 
 func (c *CacheCtl) idle() bool {
-	return len(c.mshrs) == 0 && len(c.wbPending) == 0 && len(c.wbRequeue) == 0 &&
+	return c.pending == 0 && c.wbCount == 0 &&
 		c.flwb.Empty() && len(c.deferredWrites) == 0 && len(c.relQueue) == 0 && !c.draining
+}
+
+// rec returns block id's record.
+func (c *CacheCtl) rec(id int32) *blockRec { return c.recs.at(id) }
+
+// lookup returns block id's SLC line, or nil when absent.
+func (c *CacheCtl) lookup(id int32, b memsys.Block) *cache.Line {
+	return c.slc.Lookup(b, &c.recs.at(id).line)
+}
+
+// lineData returns the word versions of block id's SLC line (all zero when
+// data verification is off).
+func (c *CacheCtl) lineData(id int32) memsys.BlockData {
+	if !c.sys.verify {
+		return memsys.BlockData{}
+	}
+	return c.ver.at(id).data
+}
+
+// setLineData records the word versions a fill brought.
+func (c *CacheCtl) setLineData(id int32, d memsys.BlockData) {
+	if c.sys.verify {
+		c.ver.at(id).data = d
+	}
+}
+
+// newMshr takes a cleared entry from the free list and makes it r's
+// pending transaction.
+func (c *CacheCtl) newMshr(r *blockRec, kind mshrKind) *mshr {
+	var ms *mshr
+	if n := len(c.msFree); n > 0 {
+		ms = c.msFree[n-1]
+		c.msFree = c.msFree[:n-1]
+	} else {
+		ms = &mshr{}
+	}
+	ms.kind = kind
+	r.ms = ms
+	c.pending++
+	return ms
+}
+
+// takeMshr detaches r's finished transaction. The caller frees the entry
+// with freeMshr once it has run everything the entry holds.
+func (c *CacheCtl) takeMshr(r *blockRec) *mshr {
+	ms := r.ms
+	r.ms = nil
+	c.pending--
+	return ms
+}
+
+func (c *CacheCtl) freeMshr(ms *mshr) {
+	*ms = mshr{
+		readers:   ms.readers[:0],
+		performed: ms.performed[:0],
+		after:     ms.after[:0],
+		obs:       ms.obs[:0],
+		words:     ms.words[:0],
+	}
+	c.msFree = append(c.msFree, ms)
 }
 
 // completeObs retires write obligations and re-checks queued releases.
@@ -208,10 +281,17 @@ func (c *CacheCtl) completeObs(obs []int) {
 	c.tryRelease()
 }
 
-func (c *CacheCtl) forEachLine(fn func(b memsys.Block, state string, dirty bool)) {
-	c.slc.ForEach(func(l *cache.Line) {
-		fn(l.Block, l.State.String(), l.State == cache.Dirty)
-	})
+// forEachLine visits every line this SLC holds, with its block id.
+func (c *CacheCtl) forEachLine(fn func(id int32, l *cache.Line)) {
+	if !c.slc.Infinite() {
+		c.slc.ForEach(func(l *cache.Line) { fn(l.ID, l) })
+		return
+	}
+	for id := int32(0); id < int32(len(c.sys.blocks)); id++ {
+		if r := c.recs.peek(id); r != nil && r.line.State != cache.Invalid {
+			fn(id, &r.line)
+		}
+	}
 }
 
 func (c *CacheCtl) send(m *Msg) {
@@ -226,7 +306,7 @@ func (c *CacheCtl) SLCResource() *sim.Resource { return c.slcRes }
 
 // PendingTxns returns the number of outstanding coherence transactions
 // (occupied MSHR entries), an outstanding-miss gauge for the sampler.
-func (c *CacheCtl) PendingTxns() int { return len(c.mshrs) }
+func (c *CacheCtl) PendingTxns() int { return c.pending }
 
 // beginSpan opens a telemetry span for a transaction launched now. Spans are
 // gated like every other measurement: only the parallel section records.
@@ -244,20 +324,23 @@ func (c *CacheCtl) endSpan(txn uint64) {
 	}
 }
 
-// observe checks the data-value invariant for a read of word w returning
-// version v: per processor and location, observed versions never decrease.
-func (c *CacheCtl) observe(b memsys.Block, w int, v int64) {
-	if c.sys.verSeq == nil {
-		return
+// observe checks the data-value invariant for a read of word w of block id
+// that returns the word's version in this SLC's line.
+func (c *CacheCtl) observe(id int32, w int) {
+	if c.sys.verify {
+		c.observeVersion(id, w, c.ver.at(id).data[w])
 	}
+}
+
+// observeVersion checks the data-value invariant for a read of word w of
+// block id returning version v: per processor and location, observed
+// versions never decrease.
+func (c *CacheCtl) observeVersion(id int32, w int, v int64) {
+	b := c.sys.blocks[id]
 	if ck := c.sys.Check; ck != nil {
 		ck.OnRead(c.id, b, w, v)
 	}
-	last := c.lastSeen[b]
-	if last == nil {
-		last = &memsys.BlockData{}
-		c.lastSeen[b] = last
-	}
+	last := &c.ver.at(id).lastSeen
 	if v < last[w] {
 		c.sys.dataViolation(b, "node %d read block %d word %d version %d after seeing %d",
 			c.id, b, w, v, last[w])
@@ -265,12 +348,11 @@ func (c *CacheCtl) observe(b memsys.Block, w int, v int64) {
 	last[w] = v
 }
 
-// performLocal serializes a write into an exclusive line.
-func (c *CacheCtl) performLocal(line *cache.Line, b memsys.Block, w int) {
-	if c.sys.verSeq == nil {
-		return
+// performLocal serializes a write to word w of block id's exclusive line.
+func (c *CacheCtl) performLocal(id int32, w int) {
+	if c.sys.verify {
+		c.ver.at(id).data[w] = c.sys.serialize(c.id, id, w)
 	}
-	line.Data[w] = c.sys.serialize(c.id, b, w)
 }
 
 // ckLine reports an SLC state transition (install, upgrade, downgrade) for
@@ -290,8 +372,8 @@ func (c *CacheCtl) ckDrop(b memsys.Block, event string) {
 
 // fillFLC fills the FLC and, with the checker on, asserts inclusion at the
 // fill: the SLC must already hold any block entering the FLC.
-func (c *CacheCtl) fillFLC(b memsys.Block) {
-	if ck := c.sys.Check; ck != nil && c.slc.Lookup(b) == nil {
+func (c *CacheCtl) fillFLC(id int32, b memsys.Block) {
+	if ck := c.sys.Check; ck != nil && c.lookup(id, b) == nil {
 		ck.Failf(fmt.Sprintf("cache %d", c.id), b,
 			"FLC fill of block %d without SLC inclusion", b)
 	}
@@ -312,11 +394,11 @@ func (c *CacheCtl) Read(a memsys.Addr, unblock func()) bool {
 		c.sys.Shr.OnRead(c.id, uint64(b))
 	}
 	if c.flc.Lookup(b) {
-		if c.sys.verSeq != nil {
+		if c.sys.verify {
 			// Inclusion guarantees the SLC holds the block too; observe the
 			// version the processor sees.
-			if line := c.slc.Lookup(b); line != nil {
-				c.observe(b, memsys.WordIndex(a), line.Data[memsys.WordIndex(a)])
+			if id := c.sys.blockID(b); c.lookup(id, b) != nil {
+				c.observe(id, memsys.WordIndex(a))
 			} else {
 				c.sys.dataViolation(b, "node %d: FLC hit on block %d without SLC inclusion", c.id, b)
 			}
@@ -327,13 +409,14 @@ func (c *CacheCtl) Read(a memsys.Addr, unblock func()) bool {
 		c.CStats.FLCReadMisses++
 	}
 	j := c.getJob()
-	j.block, j.word, j.unblock = b, memsys.WordIndex(a), unblock
+	j.m.Block, j.m.id, j.word, j.unblock = b, c.sys.blockID(b), memsys.WordIndex(a), unblock
 	c.slcRes.UsePipelinedCall(c.sys.P.Timing.SLCCycle, c.sys.P.Timing.SLCAccess, runReadJob, j)
 	return false
 }
 
-func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
-	if ms := c.mshrs[b]; ms != nil {
+func (c *CacheCtl) readSLC(id int32, b memsys.Block, word int, unblock func()) {
+	r := c.rec(id)
+	if ms := r.ms; ms != nil {
 		switch ms.kind {
 		case mshrRead:
 			if ms.prefetchOnly {
@@ -349,13 +432,13 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 			ms.readers = append(ms.readers, readerWait{word, unblock})
 			return
 		case mshrOwn, mshrUpdate:
-			if line := c.slc.Lookup(b); line != nil {
+			if line := c.slc.Lookup(b, &r.line); line != nil {
 				c.touch(line)
 				c.flc.Fill(b)
 				if c.statsOn() {
 					c.CStats.SLCHits++
 				}
-				c.observe(b, word, line.Data[word])
+				c.observe(id, word)
 				unblock()
 				return
 			}
@@ -363,13 +446,13 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 			return
 		}
 	}
-	if line := c.slc.Lookup(b); line != nil {
+	if line := c.slc.Lookup(b, &r.line); line != nil {
 		c.touch(line)
 		c.flc.Fill(b)
 		if c.statsOn() {
 			c.CStats.SLCHits++
 		}
-		c.observe(b, word, line.Data[word])
+		c.observe(id, word)
 		unblock()
 		return
 	}
@@ -387,37 +470,45 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 	}
 	// Full demand miss.
 	if c.statsOn() {
-		c.Misses.Add(c.Cls.Classify(b))
+		c.Misses.Add(r.cls.Classify())
 		c.CStats.SLCReadMisses++
 		if c.sys.Shr != nil {
 			c.sys.Shr.OnMiss(c.id, uint64(b))
 		}
 	}
-	c.missStart[b] = c.sys.Eng.Now()
-	ms := &mshr{kind: mshrRead, readers: []readerWait{{word, unblock}}}
+	r.missStart = c.sys.Eng.Now()
+	r.flags |= missTimed
+	ms := c.newMshr(r, mshrRead)
+	ms.readers = append(ms.readers, readerWait{word, unblock})
 	ms.txn = c.beginSpan(b, telemetry.SpanRead)
-	c.mshrs[b] = ms
-	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
+	c.send(&Msg{Type: MsgReadReq, Block: b, id: id, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 	if c.pf != nil {
-		c.pf.OnMiss(b)
+		if c.pf.Degree() == 0 {
+			c.pf.OnMiss(&r.zero, &c.rec(c.sys.blockID(b.Next(1))).zero)
+		}
 		c.issuePrefetches(b)
 	}
 }
 
+// issuePrefetches prefetches the Degree() blocks directly following a
+// demand miss on b, skipping blocks already present or pending.
 func (c *CacheCtl) issuePrefetches(b memsys.Block) {
-	for _, nb := range c.pf.Candidates(b) {
-		if c.slc.Lookup(nb) != nil || c.mshrs[nb] != nil || c.wbPending[nb] {
+	for i := 1; i <= c.pf.Degree(); i++ {
+		nb := b.Next(i)
+		id := c.sys.blockID(nb)
+		r := c.rec(id)
+		if c.slc.Lookup(nb, &r.line) != nil || r.ms != nil || r.flags&wbPending != 0 {
 			continue
 		}
 		if c.slwbUsed >= c.sys.P.SLWBEntries {
 			break
 		}
-		ms := &mshr{kind: mshrRead, prefetchOnly: true, countsSLWB: true}
+		ms := c.newMshr(r, mshrRead)
+		ms.prefetchOnly, ms.countsSLWB = true, true
 		ms.txn = c.beginSpan(nb, telemetry.SpanPrefetch)
-		c.mshrs[nb] = ms
 		c.slwbUsed++
 		c.pf.OnIssue()
-		c.send(&Msg{Type: MsgReadReq, Block: nb, Dst: c.sys.HomeOf(nb), Prefetch: true, Txn: ms.txn})
+		c.send(&Msg{Type: MsgReadReq, Block: nb, id: id, Dst: c.sys.HomeOf(nb), Prefetch: true, Txn: ms.txn})
 	}
 }
 
@@ -441,18 +532,12 @@ func (c *CacheCtl) touch(line *cache.Line) {
 // performed — what a sequentially consistent processor stalls on.
 func (c *CacheCtl) Write(a memsys.Addr, accepted, performed func()) bool {
 	b := memsys.BlockOf(a)
-	word := memsys.WordIndex(a)
-	w := flwbWrite{block: b, word: word, performed: performed}
+	w := flwbWrite{block: b, id: c.sys.blockID(b), word: memsys.WordIndex(a), performed: performed}
 	if c.flwb.Full() {
-		if c.flwbWaiter != nil {
+		if c.flwbWaiting {
 			panic("core: two writes waiting for the FLWB")
 		}
-		c.flwbWaiter = func() {
-			c.pushWrite(w)
-			if accepted != nil {
-				accepted()
-			}
-		}
+		c.flwbWaiting, c.flwbWait, c.flwbAccepted = true, w, accepted
 		return false
 	}
 	c.pushWrite(w)
@@ -490,10 +575,13 @@ func drainStep(a any) {
 	if c.processWrite(w) {
 		c.flwb.Pop()
 		c.draining = false
-		if c.flwbWaiter != nil {
-			f := c.flwbWaiter
-			c.flwbWaiter = nil
-			f()
+		if c.flwbWaiting {
+			w, accepted := c.flwbWait, c.flwbAccepted
+			c.flwbWaiting, c.flwbWait, c.flwbAccepted = false, flwbWrite{}, nil
+			c.pushWrite(w)
+			if accepted != nil {
+				accepted()
+			}
 		}
 		c.tryRelease()
 		c.drainFLWB()
@@ -507,11 +595,12 @@ func drainStep(a any) {
 // the write needs an SLWB slot and none is free.
 func (c *CacheCtl) processWrite(w flwbWrite) bool {
 	b := w.block
-	if ms := c.mshrs[b]; ms != nil {
+	r := c.rec(w.id)
+	if ms := r.ms; ms != nil {
 		switch ms.kind {
 		case mshrRead:
 			// The block is being fetched; apply the write after the fill.
-			ms.after = append(ms.after, func() { c.deferWrite(w) })
+			ms.after = append(ms.after, afterAct{w: w})
 			return true
 		case mshrOwn:
 			// Ownership already requested: merge.
@@ -526,14 +615,14 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 		// mshrUpdate: a previous combining round is in flight; this write
 		// starts a new one below.
 	}
-	line := c.slc.Lookup(b)
+	line := c.slc.Lookup(b, &r.line)
 	if c.wc != nil {
 		return c.processWriteCW(w, line)
 	}
 	if line != nil && line.State == cache.Dirty {
 		// Writing an exclusive copy is globally performed on the spot.
 		line.Written = true
-		c.performLocal(line, b, w.word)
+		c.performLocal(w.id, w.word)
 		if w.performed != nil {
 			w.performed()
 		}
@@ -545,14 +634,16 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 	if c.slwbUsed >= c.sys.P.SLWBEntries {
 		return false
 	}
-	ms := &mshr{kind: mshrOwn, countsSLWB: true, nWrites: 1, obs: []int{w.ob}, words: []int{w.word}}
+	ms := c.newMshr(r, mshrOwn)
+	ms.countsSLWB, ms.nWrites = true, 1
+	ms.obs = append(ms.obs, w.ob)
+	ms.words = append(ms.words, w.word)
 	ms.txn = c.beginSpan(b, telemetry.SpanOwnership)
 	if w.performed != nil {
 		ms.performed = append(ms.performed, w.performed)
 	}
-	c.mshrs[b] = ms
 	c.slwbUsed++
-	c.send(&Msg{Type: MsgOwnReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
+	c.send(&Msg{Type: MsgOwnReq, Block: b, id: w.id, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 	return true
 }
 
@@ -564,7 +655,7 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 	if line != nil && line.State == cache.Dirty {
 		line.Written = true
 		line.CWCount = c.sys.P.CWThreshold
-		c.performLocal(line, b, w.word)
+		c.performLocal(w.id, w.word)
 		if w.performed != nil {
 			w.performed()
 		}
@@ -584,16 +675,18 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 		mask, _ := c.wc.Lookup(b)
 		ck.OnWCWrite(c.id, b, w.word, mask)
 	}
-	c.wcObs[b] = append(c.wcObs[b], w.ob)
 	if line != nil {
 		line.LocallyModified = true
 		line.CWCount = c.sys.P.CWThreshold
 	}
+	// The victim held b's frame: its update goes out, with its
+	// obligations, before b's first write is recorded there.
+	f := &c.wcState[c.wc.Frame(b)]
 	if evicted {
-		obs := c.wcObs[victim.Block]
-		delete(c.wcObs, victim.Block)
-		c.flushWC(victim, obs)
+		c.flushWC(victim)
 	}
+	f.id = w.id
+	f.obs = append(f.obs, w.ob)
 	if w.performed != nil {
 		w.performed()
 	}
@@ -604,9 +697,7 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 			if ck := c.sys.Check; ck != nil {
 				ck.OnWCFlush(c.id, b, e.Mask, "release-drain")
 			}
-			obs := c.wcObs[b]
-			delete(c.wcObs, b)
-			c.flushWC(e, obs)
+			c.flushWC(e)
 		}
 	}
 	return true
@@ -618,25 +709,39 @@ func (c *CacheCtl) deferWrite(w flwbWrite) {
 }
 
 // flushWC issues the combined update for one victimized or drained
-// write-cache entry, carrying the obligations its writes represent.
-func (c *CacheCtl) flushWC(e cache.WCEntry, obs []int) {
-	c.doFlush(e, obs)
+// write-cache entry, carrying the obligations its writes represent, and
+// clears them from the entry's frame.
+func (c *CacheCtl) flushWC(e cache.WCEntry) {
+	f := &c.wcState[c.wc.Frame(e.Block)]
+	c.doFlush(e, f.id, f.obs)
+	f.obs = f.obs[:0]
 }
 
-func (c *CacheCtl) doFlush(e cache.WCEntry, obs []int) {
-	if ms := c.mshrs[e.Block]; ms != nil {
+// doFlush issues the update for e (block id) now, or when the block's
+// transaction in flight completes. obs stays the caller's: it is copied.
+func (c *CacheCtl) doFlush(e cache.WCEntry, id int32, obs []int) {
+	r := c.rec(id)
+	if ms := r.ms; ms != nil {
 		// A transaction is in flight for this block; issue the update when
 		// it completes.
-		ms.after = append(ms.after, func() { c.doFlush(e, obs) })
+		n := len(ms.after)
+		if n < cap(ms.after) {
+			ms.after = ms.after[:n+1]
+		} else {
+			ms.after = append(ms.after, afterAct{})
+		}
+		a := &ms.after[n]
+		a.flush, a.w, a.e, a.id, a.obs = true, flwbWrite{}, e, id, append(a.obs[:0], obs...)
 		return
 	}
 	// Release-time drains may transiently exceed the SLWB capacity; the
 	// processor is not waiting, so this only models a stalled drain.
-	ms := &mshr{kind: mshrUpdate, countsSLWB: true, obs: obs, mask: e.Mask}
+	ms := c.newMshr(r, mshrUpdate)
+	ms.countsSLWB, ms.mask = true, e.Mask
+	ms.obs = append(ms.obs, obs...)
 	ms.txn = c.beginSpan(e.Block, telemetry.SpanUpdate)
-	c.mshrs[e.Block] = ms
 	c.slwbUsed++
-	c.send(&Msg{Type: MsgUpdateReq, Block: e.Block, Dst: c.sys.HomeOf(e.Block), Mask: e.Mask, Txn: ms.txn})
+	c.send(&Msg{Type: MsgUpdateReq, Block: e.Block, id: id, Dst: c.sys.HomeOf(e.Block), Mask: e.Mask, Txn: ms.txn})
 }
 
 // pump retries work that was waiting for an SLWB slot or a fill.
@@ -689,9 +794,7 @@ func (c *CacheCtl) enqueueFence(r relReq) {
 			if ck := c.sys.Check; ck != nil {
 				ck.OnWCFlush(c.id, e.Block, e.Mask, "fence-drain")
 			}
-			obs := c.wcObs[e.Block]
-			delete(c.wcObs, e.Block)
-			c.flushWC(e, obs)
+			c.flushWC(e)
 		}
 	}
 	r.mark = c.nextOb
@@ -720,7 +823,8 @@ func (c *CacheCtl) tryRelease() {
 			return
 		}
 		r := c.relQueue[0]
-		c.relQueue = c.relQueue[1:]
+		n := copy(c.relQueue, c.relQueue[1:])
+		c.relQueue = c.relQueue[:n]
 		switch r.kind {
 		case relLock:
 			if r.ack != nil {
@@ -737,14 +841,15 @@ func (c *CacheCtl) tryRelease() {
 
 // slcJob is one pooled SLC-occupancy event: either a delivered protocol
 // message awaiting its SLC access (handler != nil) or a blocked processor
-// read (handler == nil). Jobs recycle through CacheCtl.jobFree, so the two
-// hottest cache-controller scheduling patterns allocate nothing once warm.
+// read (handler == nil; m carries only the block and its id). The message
+// is held by value and lent to the handler until the job returns to
+// CacheCtl.jobFree, so the two hottest cache-controller scheduling
+// patterns allocate nothing once warm.
 type slcJob struct {
 	c       *CacheCtl
 	handler func(*CacheCtl, *Msg)
-	m       *Msg
+	m       Msg
 
-	block   memsys.Block
 	word    int
 	unblock func()
 }
@@ -759,30 +864,29 @@ func (c *CacheCtl) getJob() *slcJob {
 }
 
 func (c *CacheCtl) putJob(j *slcJob) {
-	j.handler, j.m, j.unblock = nil, nil, nil
+	j.handler, j.unblock = nil, nil
 	c.jobFree = append(c.jobFree, j)
 }
 
 // runMsgJob completes a message's SLC access and runs its handler.
 func runMsgJob(a any) {
 	j := a.(*slcJob)
-	c, fn, m := j.c, j.handler, j.m
-	c.putJob(j)
-	fn(c, m)
+	j.handler(j.c, &j.m)
+	j.c.putJob(j)
 }
 
 // runReadJob completes a blocked read's SLC access.
 func runReadJob(a any) {
 	j := a.(*slcJob)
-	c, b, word, unblock := j.c, j.block, j.word, j.unblock
+	c, id, b, word, unblock := j.c, j.m.id, j.m.Block, j.word, j.unblock
 	c.putJob(j)
-	c.readSLC(b, word, unblock)
+	c.readSLC(id, b, word, unblock)
 }
 
 // slcHandle schedules handler(c, m) after the SLC's pipelined access.
 func (c *CacheCtl) slcHandle(m *Msg, handler func(*CacheCtl, *Msg)) {
 	j := c.getJob()
-	j.handler, j.m = handler, m
+	j.handler, j.m = handler, *m
 	t := c.sys.P.Timing
 	c.slcRes.UsePipelinedCall(t.SLCCycle, t.SLCAccess, runMsgJob, j)
 }
@@ -818,7 +922,9 @@ func (c *CacheCtl) Handle(m *Msg) {
 			panic(fmt.Sprintf("cache %d: release ack with no waiter", c.id))
 		}
 		w := c.relAckWaiters[0]
-		c.relAckWaiters = c.relAckWaiters[1:]
+		n := copy(c.relAckWaiters, c.relAckWaiters[1:])
+		c.relAckWaiters[n] = nil
+		c.relAckWaiters = c.relAckWaiters[:n]
 		w()
 	case MsgBarGo:
 		w := c.barWaiters[m.BarID]
@@ -832,12 +938,13 @@ func (c *CacheCtl) Handle(m *Msg) {
 	}
 }
 
-// removeLine invalidates block b for a coherence reason, maintaining FLC
-// inclusion, the miss classifier and prefetch accounting.
-func (c *CacheCtl) removeLine(b memsys.Block) *cache.Line {
-	line := c.slc.Invalidate(b)
-	if line == nil {
-		return nil
+// removeLine invalidates block b (id) for a coherence reason, maintaining
+// FLC inclusion, the miss classifier and prefetch accounting.
+func (c *CacheCtl) removeLine(id int32, b memsys.Block) {
+	r := c.rec(id)
+	line, ok := c.slc.Invalidate(b, &r.line)
+	if !ok {
+		return
 	}
 	c.sys.traceNode(trace.CacheEvict, "inval", b, c.id, line.State.String())
 	c.ckDrop(b, "inval")
@@ -845,55 +952,64 @@ func (c *CacheCtl) removeLine(b memsys.Block) *cache.Line {
 		c.sys.Shr.OnInvalidate(c.id, uint64(b))
 	}
 	c.flc.Invalidate(b)
-	c.Cls.Invalidate(b)
+	r.cls.Invalidate()
 	if line.PrefetchBit && c.pf != nil {
 		c.pf.OnDiscard()
 	}
-	return line
 }
 
-func (c *CacheCtl) install(b memsys.Block, st cache.LineState) *cache.Line {
+func (c *CacheCtl) install(id int32, b memsys.Block, st cache.LineState) *cache.Line {
 	c.sys.traceNode(trace.CacheFill, st.String(), b, c.id, "")
-	line, victim := c.slc.Insert(b, st)
-	if victim != nil {
+	r := c.rec(id)
+	line, victim, evicted := c.slc.Insert(b, st, &r.line)
+	line.ID = id
+	if evicted {
 		c.handleVictim(victim)
 	}
-	c.Cls.Fill(b)
+	r.cls.Fill()
 	c.ckLine(b, st == cache.Dirty, "install")
 	return line
 }
 
-func (c *CacheCtl) handleVictim(v *cache.Line) {
+func (c *CacheCtl) handleVictim(v cache.Line) {
 	c.sys.traceNode(trace.CacheEvict, "replace", v.Block, c.id, v.State.String())
 	c.ckDrop(v.Block, "replace")
 	c.flc.Invalidate(v.Block)
-	c.Cls.Evict(v.Block)
+	r := c.rec(v.ID)
+	r.cls.Evict()
 	if v.PrefetchBit && c.pf != nil {
 		c.pf.OnDiscard()
 	}
 	if v.State == cache.Dirty {
-		stamp := c.lastGrant[v.Block]
-		c.wbData[v.Block] = v.Data
-		c.wbMask[v.Block] = memsys.FullMask
-		if c.wbPending[v.Block] {
+		stamp := r.lastGrant
+		var data memsys.BlockData
+		if c.sys.verify {
+			vr := c.ver.at(v.ID)
+			vr.wbData = vr.data
+			data = vr.data
+		}
+		r.wbMask = memsys.FullMask
+		if r.flags&wbPending != 0 {
 			// The previous writeback of this block has not been
 			// acknowledged yet (ownership cycled back in between); queue a
 			// fresh one behind it.
-			c.wbRequeue[v.Block] = stamp
+			r.flags |= wbRequeue
+			r.wbStamp = stamp
 		} else {
-			c.wbPending[v.Block] = true
-			c.send(&Msg{Type: MsgWBReq, Block: v.Block, Dst: c.sys.HomeOf(v.Block), Data: true, Stamp: stamp, Payload: v.Data, Mask: memsys.FullMask})
+			r.flags |= wbPending
+			c.wbCount++
+			c.send(&Msg{Type: MsgWBReq, Block: v.Block, id: v.ID, Dst: c.sys.HomeOf(v.Block), Data: true, Stamp: int(stamp), Payload: data, Mask: memsys.FullMask})
 		}
 	}
 }
 
 func (c *CacheCtl) onReadReply(m *Msg) {
-	b := m.Block
-	ms := c.mshrs[b]
-	if ms == nil || ms.kind != mshrRead {
+	b, id := m.Block, m.id
+	r := c.rec(id)
+	if r.ms == nil || r.ms.kind != mshrRead {
 		panic(fmt.Sprintf("cache %d: read reply with no pending read for block %d", c.id, b))
 	}
-	delete(c.mshrs, b)
+	ms := c.takeMshr(r)
 	if ms.countsSLWB {
 		c.slwbUsed--
 	}
@@ -901,10 +1017,10 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 	st := cache.Shared
 	if m.Excl {
 		st = cache.Dirty
-		c.lastGrant[b] = m.Stamp
+		r.lastGrant = int32(m.Stamp)
 	}
-	line := c.install(b, st)
-	line.Data = m.Payload
+	line := c.install(id, b, st)
+	c.setLineData(id, m.Payload)
 	if m.Excl {
 		line.MigSupplied = true
 	}
@@ -931,11 +1047,11 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 			// Issued as a prefetch, promoted to a demand fetch in flight.
 			c.pf.OnFill()
 		}
-		c.fillFLC(b)
-		if t0, ok := c.missStart[b]; ok {
-			delete(c.missStart, b)
+		c.fillFLC(id, b)
+		if r.flags&missTimed != 0 {
+			r.flags &^= missTimed
 			if c.statsOn() {
-				lat := int64(c.sys.Eng.Now() - t0)
+				lat := int64(c.sys.Eng.Now() - r.missStart)
 				c.CStats.ReadMissLatency += lat
 				c.CStats.ReadMissCount++
 				c.CStats.LatencyHist.Add(lat)
@@ -944,74 +1060,82 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 				}
 			}
 		}
-		for _, r := range ms.readers {
-			c.observe(b, r.word, line.Data[r.word])
-			r.fn()
+		for _, rw := range ms.readers {
+			c.observe(id, rw.word)
+			rw.fn()
 		}
 	}
-	c.runAfter(ms)
+	c.finishMshr(ms)
+}
+
+// finishMshr runs a completed transaction's deferred actions, frees the
+// entry and retries work that waited on it.
+func (c *CacheCtl) finishMshr(ms *mshr) {
+	for i := range ms.after {
+		if a := &ms.after[i]; a.flush {
+			c.doFlush(a.e, a.id, a.obs)
+		} else {
+			c.deferWrite(a.w)
+		}
+	}
+	c.freeMshr(ms)
 	c.pump()
 }
 
-func (c *CacheCtl) runAfter(ms *mshr) {
-	for _, f := range ms.after {
-		f()
-	}
-}
-
 func (c *CacheCtl) onOwnAck(m *Msg) {
-	b := m.Block
-	ms := c.mshrs[b]
-	if ms == nil || ms.kind != mshrOwn {
+	b, id := m.Block, m.id
+	r := c.rec(id)
+	if r.ms == nil || r.ms.kind != mshrOwn {
 		panic(fmt.Sprintf("cache %d: ownership ack with no pending request for block %d", c.id, b))
 	}
-	delete(c.mshrs, b)
+	ms := c.takeMshr(r)
 	c.slwbUsed--
 	c.completeObs(ms.obs)
 	c.endSpan(ms.txn)
-	c.lastGrant[b] = m.Stamp
+	r.lastGrant = int32(m.Stamp)
 	var line *cache.Line
 	if m.Data {
-		line = c.install(b, cache.Dirty)
-		line.Data = m.Payload
+		line = c.install(id, b, cache.Dirty)
+		c.setLineData(id, m.Payload)
 	} else {
-		line = c.slc.Lookup(b)
+		line = c.slc.Lookup(b, &r.line)
 		if line == nil {
 			// The Shared copy was silently victimized by a conflicting fill
 			// while the upgrade was in flight, so we received ownership of a
 			// block whose frame is gone. Retire the writes and immediately
 			// write the block back; any waiting readers re-fetch it (their
 			// request queues at home behind the writeback).
-			c.relinquishLostOwnership(b, ms, m.Stamp)
+			c.relinquishLostOwnership(id, b, ms, m.Stamp)
 			return
 		}
 		line.State = cache.Dirty
 		c.ckLine(b, true, "own-upgrade")
 	}
 	line.Written = true
-	if c.sys.verSeq != nil {
+	if c.sys.verify {
+		vr := c.ver.at(id)
 		for _, w := range ms.words {
-			line.Data[w] = c.sys.serialize(c.id, b, w)
+			vr.data[w] = c.sys.serialize(c.id, id, w)
 		}
 	}
 	for _, p := range ms.performed {
 		p()
 	}
 	if len(ms.readers) > 0 {
-		c.fillFLC(b)
-		for _, r := range ms.readers {
-			c.observe(b, r.word, line.Data[r.word])
-			r.fn()
+		c.fillFLC(id, b)
+		for _, rw := range ms.readers {
+			c.observe(id, rw.word)
+			rw.fn()
 		}
 	}
-	c.runAfter(ms)
-	c.pump()
+	c.finishMshr(ms)
 }
 
 // relinquishLostOwnership handles an exclusive grant (of generation stamp)
 // for a block whose cache frame was lost to replacement while the request
 // was pending.
-func (c *CacheCtl) relinquishLostOwnership(b memsys.Block, ms *mshr, stamp int) {
+func (c *CacheCtl) relinquishLostOwnership(id int32, b memsys.Block, ms *mshr, stamp int) {
+	r := c.rec(id)
 	for _, p := range ms.performed {
 		p()
 	}
@@ -1019,120 +1143,126 @@ func (c *CacheCtl) relinquishLostOwnership(b memsys.Block, ms *mshr, stamp int) 
 	// version them into a masked writeback so home memory picks them up.
 	var payload memsys.BlockData
 	var mask memsys.WordMask
-	if c.sys.verSeq != nil {
+	if c.sys.verify {
 		for _, w := range ms.words {
 			mask = mask.Set(w)
-			payload[w] = c.sys.serialize(c.id, b, w)
+			payload[w] = c.sys.serialize(c.id, id, w)
 		}
 		for w := 0; w < memsys.WordsPerBlock; w++ {
 			if ms.mask.Has(w) {
 				mask = mask.Set(w)
-				payload[w] = c.sys.serialize(c.id, b, w)
+				payload[w] = c.sys.serialize(c.id, id, w)
 			}
 		}
+		c.ver.at(id).wbData = payload
 	}
+	r.wbMask = mask
 	// If a writeback is already in flight (the grant crossed it on the
 	// wire), it is stale with respect to this grant — the home will drop
 	// it — so queue a fresh one behind its acknowledgment.
-	if c.wbPending[b] {
-		c.wbRequeue[b] = stamp
-		c.wbData[b] = payload
-		c.wbMask[b] = mask
+	if r.flags&wbPending != 0 {
+		r.flags |= wbRequeue
+		r.wbStamp = int32(stamp)
 	} else {
-		c.wbPending[b] = true
-		c.wbData[b] = payload
-		c.wbMask[b] = mask
-		c.send(&Msg{Type: MsgWBReq, Block: b, Dst: c.sys.HomeOf(b), Data: true, Stamp: stamp, Payload: payload, Mask: mask})
+		r.flags |= wbPending
+		c.wbCount++
+		c.send(&Msg{Type: MsgWBReq, Block: b, id: id, Dst: c.sys.HomeOf(b), Data: true, Stamp: stamp, Payload: payload, Mask: mask})
 	}
 	if len(ms.readers) > 0 {
-		// The readers' wait continues under a fresh span: the old
-		// transaction is over, this is a new fetch.
-		ms2 := &mshr{kind: mshrRead, readers: ms.readers}
-		ms2.txn = c.beginSpan(b, telemetry.SpanRead)
-		c.mshrs[b] = ms2
-		c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms2.txn})
+		c.refetch(id, b, ms)
 	}
-	c.runAfter(ms)
-	c.pump()
+	c.finishMshr(ms)
+}
+
+// refetch moves ms's waiting readers onto a fresh read of block id. Their
+// wait continues under a new span: the old transaction is over, this is a
+// new fetch.
+func (c *CacheCtl) refetch(id int32, b memsys.Block, ms *mshr) {
+	ms2 := c.newMshr(c.rec(id), mshrRead)
+	ms2.readers, ms.readers = ms.readers, ms2.readers
+	ms2.txn = c.beginSpan(b, telemetry.SpanRead)
+	c.send(&Msg{Type: MsgReadReq, Block: b, id: id, Dst: c.sys.HomeOf(b), Txn: ms2.txn})
 }
 
 func (c *CacheCtl) onUpdateAck(m *Msg) {
-	b := m.Block
-	ms := c.mshrs[b]
-	if ms == nil || ms.kind != mshrUpdate {
+	b, id := m.Block, m.id
+	r := c.rec(id)
+	if r.ms == nil || r.ms.kind != mshrUpdate {
 		panic(fmt.Sprintf("cache %d: update ack with no pending update for block %d", c.id, b))
 	}
-	delete(c.mshrs, b)
+	ms := c.takeMshr(r)
 	c.slwbUsed--
 	c.completeObs(ms.obs)
 	c.endSpan(ms.txn)
 	if m.Excl {
-		c.lastGrant[b] = m.Stamp
+		r.lastGrant = int32(m.Stamp)
 		var line *cache.Line
 		if m.Data {
-			line = c.install(b, cache.Dirty)
-			line.Data = m.Payload
-		} else if line = c.slc.Lookup(b); line != nil {
+			line = c.install(id, b, cache.Dirty)
+			c.setLineData(id, m.Payload)
+		} else if line = c.slc.Lookup(b, &r.line); line != nil {
 			line.State = cache.Dirty
 			c.ckLine(b, true, "update-upgrade")
-			if c.sys.verSeq != nil {
+			if c.sys.verify {
 				// The owner's combined writes serialize here.
+				vr := c.ver.at(id)
 				for w := 0; w < memsys.WordsPerBlock; w++ {
 					if ms.mask.Has(w) {
-						line.Data[w] = c.sys.serialize(c.id, b, w)
+						vr.data[w] = c.sys.serialize(c.id, id, w)
 					}
 				}
 			}
 		} else {
 			// Exclusivity granted for a frame lost to replacement: give the
 			// block straight back (see relinquishLostOwnership).
-			c.relinquishLostOwnership(b, ms, m.Stamp)
+			c.relinquishLostOwnership(id, b, ms, m.Stamp)
 			return
 		}
 		line.Written = true
 		line.CWCount = c.sys.P.CWThreshold
-	} else if line := c.slc.Lookup(b); line != nil {
+	} else if c.slc.Lookup(b, &r.line) != nil {
 		// Non-exclusive completion: refresh our Shared copy with the
 		// post-update memory image (it now carries our own writes'
 		// serialized versions). The FLC copy already holds those writes
 		// (write-through), so it stays.
-		line.Data = m.Payload
+		c.setLineData(id, m.Payload)
 	}
 	if len(ms.readers) > 0 {
-		if line := c.slc.Lookup(b); line != nil {
-			c.fillFLC(b)
-			for _, r := range ms.readers {
-				c.observe(b, r.word, line.Data[r.word])
-				r.fn()
+		if c.slc.Lookup(b, &r.line) != nil {
+			c.fillFLC(id, b)
+			for _, rw := range ms.readers {
+				c.observe(id, rw.word)
+				rw.fn()
 			}
 		} else {
 			// The update completed without leaving us a copy; fetch one for
 			// the waiting readers.
-			ms2 := &mshr{kind: mshrRead, readers: ms.readers}
-			ms2.txn = c.beginSpan(b, telemetry.SpanRead)
-			c.mshrs[b] = ms2
-			c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms2.txn})
+			c.refetch(id, b, ms)
 		}
 	}
-	c.runAfter(ms)
-	c.pump()
+	c.finishMshr(ms)
 }
 
 func (c *CacheCtl) onInv(m *Msg) {
-	c.removeLine(m.Block)
-	c.send(&Msg{Type: MsgInvAck, Block: m.Block, Dst: m.Src})
+	c.removeLine(m.id, m.Block)
+	c.send(&Msg{Type: MsgInvAck, Block: m.Block, id: m.id, Dst: m.Src})
 }
 
 func (c *CacheCtl) onFwd(m *Msg) {
-	b := m.Block
+	b, id := m.Block, m.id
 	home := m.Src
-	line := c.slc.Lookup(b)
+	r := c.rec(id)
+	line := c.slc.Lookup(b, &r.line)
 	if line == nil {
-		if c.wbPending[b] {
+		if r.flags&wbPending != 0 {
 			// The line was victimized; serve the forward from the
 			// writeback buffer. The in-flight WBReq will be stale at home.
-			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true,
-				Payload: c.wbData[b], Mask: c.wbMask[b], Txn: m.Txn})
+			var data memsys.BlockData
+			if c.sys.verify {
+				data = c.ver.at(id).wbData
+			}
+			c.send(&Msg{Type: MsgFwdReply, Block: b, id: id, Dst: home, Data: true, Wrote: true,
+				Payload: data, Mask: r.wbMask, Txn: m.Txn})
 			return
 		}
 		panic(fmt.Sprintf("cache %d: forward for absent block %d", c.id, b))
@@ -1140,37 +1270,37 @@ func (c *CacheCtl) onFwd(m *Msg) {
 	switch {
 	case m.Excl:
 		// Exclusive takeaway (write miss elsewhere, or update recall).
-		c.removeLine(b)
-		c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: line.Data, Txn: m.Txn})
+		c.removeLine(id, b)
+		c.send(&Msg{Type: MsgFwdReply, Block: b, id: id, Dst: home, Data: true, Wrote: true, Payload: c.lineData(id), Txn: m.Txn})
 	case m.Mig:
 		// Migratory read: hand the block over if we wrote it; otherwise
 		// report that the pattern stopped being migratory and keep a
 		// shared copy.
 		if line.Written {
-			c.removeLine(b)
-			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: line.Data, Txn: m.Txn})
+			c.removeLine(id, b)
+			c.send(&Msg{Type: MsgFwdReply, Block: b, id: id, Dst: home, Data: true, Wrote: true, Payload: c.lineData(id), Txn: m.Txn})
 		} else {
 			line.State = cache.Shared
 			line.MigSupplied = false
 			c.ckLine(b, false, "mig-keep")
-			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: false, Payload: line.Data, Txn: m.Txn})
+			c.send(&Msg{Type: MsgFwdReply, Block: b, id: id, Dst: home, Data: true, Wrote: false, Payload: c.lineData(id), Txn: m.Txn})
 		}
 	default:
 		// Ordinary read miss: downgrade to Shared.
 		line.State = cache.Shared
 		line.Written = false
 		c.ckLine(b, false, "downgrade")
-		c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: line.Data, Txn: m.Txn})
+		c.send(&Msg{Type: MsgFwdReply, Block: b, id: id, Dst: home, Data: true, Wrote: true, Payload: c.lineData(id), Txn: m.Txn})
 	}
 }
 
 func (c *CacheCtl) onUpdCopy(m *Msg) {
-	b := m.Block
+	b, id := m.Block, m.id
 	if c.statsOn() && c.sys.Shr != nil {
 		c.sys.Shr.OnUpdate(c.id, uint64(b))
 	}
-	reply := &Msg{Type: MsgUpdAck, Block: b, Dst: m.Src}
-	line := c.slc.Lookup(b)
+	reply := Msg{Type: MsgUpdAck, Block: b, id: id, Dst: m.Src}
+	line := c.lookup(id, b)
 	switch {
 	case line == nil:
 		// Silently replaced earlier; tell home to clear our presence bit.
@@ -1179,7 +1309,7 @@ func (c *CacheCtl) onUpdCopy(m *Msg) {
 	case m.Probe && line.LocallyModified:
 		// CW+M interrogation: we modified the block since the last home
 		// update, so we give up our copy (paper §3.4).
-		c.removeLine(b)
+		c.removeLine(id, b)
 		reply.Removed = true
 		reply.GaveUp = true
 	default:
@@ -1192,7 +1322,7 @@ func (c *CacheCtl) onUpdCopy(m *Msg) {
 		// coherence misses while still cutting off caches that lost
 		// interest.
 		if line.CWCount <= 0 {
-			c.removeLine(b)
+			c.removeLine(id, b)
 			reply.Removed = true
 		} else {
 			line.CWCount--
@@ -1201,15 +1331,16 @@ func (c *CacheCtl) onUpdCopy(m *Msg) {
 			// next access reaches the SLC (and presets the counter).
 			c.flc.Invalidate(b)
 			line.LocallyModified = false
-			line.Data = m.Payload
+			c.setLineData(id, m.Payload)
 		}
 	}
-	c.send(reply)
+	c.send(&reply)
 }
 
 func (c *CacheCtl) onPrefNack(m *Msg) {
-	b := m.Block
-	ms := c.mshrs[b]
+	b, id := m.Block, m.id
+	r := c.rec(id)
+	ms := r.ms
 	if ms == nil || ms.kind != mshrRead {
 		panic(fmt.Sprintf("cache %d: prefetch nack with no pending read for block %d", c.id, b))
 	}
@@ -1217,10 +1348,10 @@ func (c *CacheCtl) onPrefNack(m *Msg) {
 		// A demand reference merged with the prefetch while the nack was in
 		// flight; reissue it as a demand read, which is never nacked. The
 		// span continues: it is still the same logical fetch.
-		c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
+		c.send(&Msg{Type: MsgReadReq, Block: b, id: id, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 		return
 	}
-	delete(c.mshrs, b)
+	c.takeMshr(r)
 	if ms.countsSLWB {
 		c.slwbUsed--
 	}
@@ -1228,22 +1359,29 @@ func (c *CacheCtl) onPrefNack(m *Msg) {
 	if c.pf != nil {
 		c.pf.Stats.Nacked++
 	}
-	c.runAfter(ms)
-	c.pump()
+	c.finishMshr(ms)
 }
 
 func (c *CacheCtl) onWBAck(m *Msg) {
-	if !c.wbPending[m.Block] {
+	r := c.rec(m.id)
+	if r.flags&wbPending == 0 {
 		panic(fmt.Sprintf("cache %d: writeback ack with no pending writeback for block %d", c.id, m.Block))
 	}
-	if stamp, ok := c.wbRequeue[m.Block]; ok {
-		delete(c.wbRequeue, m.Block)
-		c.send(&Msg{Type: MsgWBReq, Block: m.Block, Dst: c.sys.HomeOf(m.Block), Data: true, Stamp: stamp,
-			Payload: c.wbData[m.Block], Mask: c.wbMask[m.Block]})
+	if r.flags&wbRequeue != 0 {
+		r.flags &^= wbRequeue
+		var data memsys.BlockData
+		if c.sys.verify {
+			data = c.ver.at(m.id).wbData
+		}
+		c.send(&Msg{Type: MsgWBReq, Block: m.Block, id: m.id, Dst: c.sys.HomeOf(m.Block), Data: true, Stamp: int(r.wbStamp),
+			Payload: data, Mask: r.wbMask})
 	} else {
-		delete(c.wbPending, m.Block)
-		delete(c.wbData, m.Block)
-		delete(c.wbMask, m.Block)
+		r.flags &^= wbPending
+		c.wbCount--
+		r.wbMask = 0
+		if c.sys.verify {
+			c.ver.at(m.id).wbData = memsys.BlockData{}
+		}
 	}
 	c.pump()
 }

@@ -64,7 +64,8 @@ func blockHomedAt(s *System, node int) memsys.Addr {
 }
 
 func lineOf(s *System, n int, a memsys.Addr) *cache.Line {
-	return s.Nodes[n].Cache.slc.Lookup(memsys.BlockOf(a))
+	b := memsys.BlockOf(a)
+	return s.Nodes[n].Cache.lookup(s.blockID(b), b)
 }
 
 func TestLocalReadMissLatencyIs30(t *testing.T) {

@@ -192,8 +192,10 @@ func TestWritebackStampRejectsStale(t *testing.T) {
 	}
 	// A forged stale writeback (stamp 0 < grants 1). Register the pending
 	// entry first so the acknowledgment has a receiver.
-	s.Nodes[1].Cache.wbPending[b] = true
-	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 0})
+	c := s.Nodes[1].Cache
+	c.rec(s.blockID(b)).flags |= wbPending
+	c.wbCount++
+	home.Handle(&Msg{Type: MsgWBReq, Block: b, id: s.blockID(b), Src: 1, Dst: 0, Data: true, Stamp: 0})
 	eng.Run()
 	if home.StaleWritebacks != 1 {
 		t.Fatalf("StaleWritebacks = %d", home.StaleWritebacks)
@@ -220,7 +222,7 @@ func TestOwnershipCyclesBackWithQueuedWriteback(t *testing.T) {
 	c.Write(a, nil, nil)
 	eng.Run()
 	for _, e := range c.WriteCache().DrainAll() {
-		c.flushWC(e, nil)
+		c.flushWC(e)
 	}
 	eng.Run()
 	if l := lineOf(s, 0, a); l == nil || l.State != cache.Dirty {
@@ -236,7 +238,7 @@ func TestOwnershipCyclesBackWithQueuedWriteback(t *testing.T) {
 		t.Fatal("conflicting read never completed")
 	}
 	for _, e := range c.WriteCache().DrainAll() {
-		c.flushWC(e, nil)
+		c.flushWC(e)
 	}
 	eng.Run()
 	if err := s.CheckInvariants(); err != nil {
@@ -300,7 +302,7 @@ func TestCWMUpdateRecallOfMigratoryBlock(t *testing.T) {
 	c2.Write(a, nil, nil)
 	eng.Run()
 	for _, e := range c2.WriteCache().DrainAll() {
-		c2.flushWC(e, nil)
+		c2.flushWC(e)
 	}
 	eng.Run()
 	e, _ := s.Nodes[1].Home.Entry(b)
@@ -310,7 +312,7 @@ func TestCWMUpdateRecallOfMigratoryBlock(t *testing.T) {
 	// Now node 0's stale combined writes flush: recall from node 2, grant
 	// to node 0.
 	for _, we := range c0.WriteCache().DrainAll() {
-		c0.flushWC(we, nil)
+		c0.flushWC(we)
 	}
 	eng.Run()
 	e, _ = s.Nodes[1].Home.Entry(b)

@@ -83,18 +83,30 @@ func TestPrefetchDegreeAdaptsDownToZeroAndRestarts(t *testing.T) {
 	if pf.Degree() != 0 {
 		t.Fatalf("degree after useless window = %d, want 0", pf.Degree())
 	}
-	if pf.Candidates(10) != nil {
-		t.Fatal("candidates at degree 0")
-	}
 	// Sequential miss pattern: the zero-bit machinery must restart K=1.
+	bits := zeroBits{}
 	b := memsys.Block(100)
 	for i := 0; i < prefetchWindow+1; i++ {
-		pf.OnMiss(b.Next(i))
+		bits.miss(pf, b.Next(i))
 	}
 	if pf.Degree() != 1 {
 		t.Fatalf("degree after sequential misses = %d, want 1 (restart)", pf.Degree())
 	}
 }
+
+// zeroBits stands in for the controller's block records: one prefetcher
+// zero bit per block.
+type zeroBits map[memsys.Block]*uint32
+
+func (z zeroBits) bit(b memsys.Block) *uint32 {
+	if z[b] == nil {
+		z[b] = new(uint32)
+	}
+	return z[b]
+}
+
+// miss reports a demand miss on b at degree zero, as the controller does.
+func (z zeroBits) miss(pf *Prefetcher, b memsys.Block) { pf.OnMiss(z.bit(b), z.bit(b.Next(1))) }
 
 func TestPrefetchZeroBitIgnoresRandomMisses(t *testing.T) {
 	pf := NewPrefetcher(8, 12, 6)
@@ -102,8 +114,9 @@ func TestPrefetchZeroBitIgnoresRandomMisses(t *testing.T) {
 		pf.OnFill() // degree -> 0
 	}
 	// Strided (non-sequential) misses must not restart prefetching.
+	bits := zeroBits{}
 	for i := 0; i < 64; i++ {
-		pf.OnMiss(memsys.Block(1000 + i*7))
+		bits.miss(pf, memsys.Block(1000+i*7))
 	}
 	if pf.Degree() != 0 {
 		t.Fatalf("degree restarted by non-sequential misses: %d", pf.Degree())
@@ -377,7 +390,7 @@ func TestCWUpdatePropagatesToSharersAndCounterInvalidates(t *testing.T) {
 		c.Write(a, nil, nil)
 		eng.Run() // let the write drain into the write cache
 		for _, e := range c.WriteCache().DrainAll() {
-			c.flushWC(e, nil)
+			c.flushWC(e)
 		}
 		eng.Run()
 	}
@@ -414,7 +427,7 @@ func TestCWLocalAccessPresetsCounter(t *testing.T) {
 		c0.Write(a, nil, nil)
 		eng.Run()
 		for _, e := range c0.WriteCache().DrainAll() {
-			c0.flushWC(e, nil)
+			c0.flushWC(e)
 		}
 		eng.Run()
 	}
@@ -449,7 +462,7 @@ func TestCWKeepsMemoryCleanSoMissesAreTwoHop(t *testing.T) {
 	c.Write(a, nil, nil)
 	eng.Run()
 	for _, e := range c.WriteCache().DrainAll() {
-		c.flushWC(e, nil)
+		c.flushWC(e)
 	}
 	eng.Run()
 	e, _ := s.Nodes[1].Home.Entry(b)
@@ -477,7 +490,7 @@ func TestCWMMigratoryDetectionByProbe(t *testing.T) {
 	flush := func(n int) {
 		c := s.Nodes[n].Cache
 		for _, e := range c.WriteCache().DrainAll() {
-			c.flushWC(e, nil)
+			c.flushWC(e)
 		}
 		eng.Run()
 	}
@@ -516,13 +529,13 @@ func TestCWMProbeKeepsUnmodifiedCopies(t *testing.T) {
 	write(t, eng, s, 0, a)
 	c0 := s.Nodes[0].Cache
 	for _, e := range c0.WriteCache().DrainAll() {
-		c0.flushWC(e, nil)
+		c0.flushWC(e)
 	}
 	eng.Run()
 	write(t, eng, s, 3, a)
 	c3 := s.Nodes[3].Cache
 	for _, e := range c3.WriteCache().DrainAll() {
-		c3.flushWC(e, nil)
+		c3.flushWC(e)
 	}
 	eng.Run() // differing updaters -> probe; node 2 unmodified -> keeps
 	e, _ := s.Nodes[1].Home.Entry(b)

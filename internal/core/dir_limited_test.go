@@ -105,7 +105,7 @@ func TestLimitedDirectoryUnderAllExtensions(t *testing.T) {
 	c.Write(a, nil, nil)
 	eng.Run()
 	for _, e := range c.WriteCache().DrainAll() {
-		c.flushWC(e, nil)
+		c.flushWC(e)
 	}
 	eng.Run()
 	if err := s.CheckInvariants(); err != nil {

@@ -14,7 +14,7 @@ import (
 // transient states are represented by the entry's busy flag plus the
 // transaction context; requests arriving at a busy entry are deferred, which
 // serializes transactions per block exactly as a real home controller does.
-type dirState int
+type dirState uint8
 
 const (
 	dirClean    dirState = iota // the memory copy is valid
@@ -22,7 +22,7 @@ const (
 )
 
 // txnKind identifies the in-flight transaction at a busy entry.
-type txnKind int
+type txnKind uint8
 
 const (
 	txNone   txnKind = iota
@@ -36,19 +36,21 @@ const (
 // dirEntry is the directory state of one memory block: the full-map
 // presence vector and stable state of BASIC (paper §2), plus the migratory
 // bit, last-writer pointer and last-updater pointer the M and CW+M
-// extensions add (paper §3.2, §3.4).
+// extensions add (paper §3.2, §3.4). Entries live in the System's
+// id-indexed directory table; only the block's home touches one.
 type dirEntry struct {
 	state    dirState
+	seen     bool   // the home has handled a request for this block
 	presence uint64 // bit i set: node i may hold a copy
 	owner    int    // valid when state == dirModified
 
 	busy     bool
-	deferred []*Msg // requests awaiting the current transaction
-	parked   []*Msg // requests from the registered owner, awaiting its writeback
+	deferred []Msg // requests awaiting the current transaction (copies)
+	parked   []Msg // requests from the registered owner, awaiting its writeback
 
 	// Transaction context (valid while busy).
 	txn      txnKind
-	txnReq   *Msg
+	txnReq   Msg // copy of the request being served
 	acksLeft int
 	needData bool
 	gaveUp   bool // CW+M probe: all interrogated caches surrendered
@@ -80,7 +82,6 @@ type HomeCtl struct {
 	sys *System
 	id  int
 
-	dir      map[memsys.Block]*dirEntry
 	locks    map[memsys.Block]*syncprim.Lock
 	barriers map[int]*syncprim.Barrier
 
@@ -95,23 +96,31 @@ type HomeCtl struct {
 
 	// memFree recycles the pooled memory-access events; see memJob.
 	memFree []*memJob
+	// queueFree recycles the buffers of emptied deferred and parked queues.
+	queueFree [][]Msg
 }
 
 func newHomeCtl(s *System, id int) *HomeCtl {
 	return &HomeCtl{
 		sys:      s,
 		id:       id,
-		dir:      make(map[memsys.Block]*dirEntry),
 		locks:    make(map[memsys.Block]*syncprim.Lock),
 		barriers: make(map[int]*syncprim.Barrier),
 	}
 }
 
-func (h *HomeCtl) entry(b memsys.Block) *dirEntry {
-	e := h.dir[b]
-	if e == nil {
-		e = &dirEntry{owner: -1, lastWriter: -1, lastUpdater: -1}
-		h.dir[b] = e
+// entry returns block id's directory entry, initializing it on first use.
+// The directory is one table shared by every home, so a message delivered
+// to a node that is not the block's home would silently change the real
+// entry; entry refuses it instead.
+func (h *HomeCtl) entry(id int32) *dirEntry {
+	if b := h.sys.blocks[id]; h.sys.HomeOf(b) != h.id {
+		panic(fmt.Sprintf("home %d: message for block %d, whose home is %d", h.id, b, h.sys.HomeOf(b)))
+	}
+	e := h.sys.dir.at(id)
+	if !e.seen {
+		e.seen = true
+		e.owner, e.lastWriter, e.lastUpdater = -1, -1, -1
 	}
 	return e
 }
@@ -141,13 +150,12 @@ func (h *HomeCtl) addSharer(e *dirEntry, n int) {
 // masked word gets the next version for its location. This is the
 // competitive-update mechanism's global serialization point.
 func (h *HomeCtl) applyUpdate(e *dirEntry, m *Msg) {
-	if h.sys.verSeq == nil {
+	if !h.sys.verify {
 		return
 	}
-	b := m.Block
 	for w := 0; w < memsys.WordsPerBlock; w++ {
 		if m.Mask.Has(w) {
-			e.data[w] = h.sys.serialize(m.Src, b, w)
+			e.data[w] = h.sys.serialize(m.Src, m.id, w)
 		}
 	}
 }
@@ -177,21 +185,29 @@ func (h *HomeCtl) sharersFor(e *dirEntry, requester int) uint64 {
 
 // idle reports whether no transaction is in flight at this home.
 func (h *HomeCtl) idle() bool {
-	for _, e := range h.dir {
-		if e.busy || len(e.deferred) > 0 || len(e.parked) > 0 {
+	for id, b := range h.sys.blocks {
+		if h.sys.HomeOf(b) != h.id {
+			continue
+		}
+		if e := h.sys.dir.peek(int32(id)); e != nil && e.active() {
 			return false
 		}
 	}
 	return true
 }
 
+// active reports whether a transaction is in flight or queued at e.
+func (e *dirEntry) active() bool {
+	return e.busy || len(e.deferred) > 0 || len(e.parked) > 0
+}
+
 // Handle processes one incoming message.
 func (h *HomeCtl) Handle(m *Msg) {
 	switch m.Type {
 	case MsgReadReq, MsgOwnReq, MsgUpdateReq, MsgWBReq:
-		e := h.entry(m.Block)
+		e := h.entry(m.id)
 		if e.busy {
-			e.deferred = append(e.deferred, m)
+			h.enqueue(&e.deferred, m)
 			return
 		}
 		h.process(m, e)
@@ -221,45 +237,52 @@ func (h *HomeCtl) process(m *Msg, e *dirEntry) {
 	// became exclusive.)
 	if e.state == dirModified && e.owner == m.Src &&
 		(m.Type == MsgReadReq || m.Type == MsgOwnReq) {
-		e.parked = append(e.parked, m)
+		h.enqueue(&e.parked, m)
 		return
 	}
 	e.busy = true
 	e.txn = txMem
-	e.txnReq = m
+	e.txnReq = *m
 	// The request's queueing behind a busy entry ends here; the memory
 	// access it now performs ends at memDone below.
 	h.sys.tmark(m.Txn, telemetry.PhaseDirWait)
-	j := h.getMemJob()
-	j.m, j.e = m, e
-	h.sys.Eng.AfterCall(h.sys.P.Timing.MemAccess, memDone, j)
+	h.afterMem(m, e, memDone)
 }
 
-// memJob carries one request's memory access through the pooled event
-// path; jobs recycle through HomeCtl.memFree (every coherence request
-// schedules exactly one).
+// memJob carries one memory access through the pooled event path: a
+// request's directory lookup, the write of a forwarded block back to
+// memory, or a lock or barrier operation. It holds its message by value
+// and lends it to the completion until the job returns to HomeCtl.memFree.
 type memJob struct {
 	h *HomeCtl
-	m *Msg
+	m Msg
 	e *dirEntry
 }
 
-func (h *HomeCtl) getMemJob() *memJob {
+// afterMem schedules done with a copy of m and entry e once the memory
+// access completes.
+func (h *HomeCtl) afterMem(m *Msg, e *dirEntry, done func(any)) {
+	var j *memJob
 	if n := len(h.memFree); n > 0 {
-		j := h.memFree[n-1]
+		j = h.memFree[n-1]
 		h.memFree = h.memFree[:n-1]
-		return j
+	} else {
+		j = &memJob{h: h}
 	}
-	return &memJob{h: h}
+	j.m, j.e = *m, e
+	h.sys.Eng.AfterCall(h.sys.P.Timing.MemAccess, done, j)
+}
+
+func (h *HomeCtl) putMemJob(j *memJob) {
+	j.e = nil
+	h.memFree = append(h.memFree, j)
 }
 
 // memDone completes a request's memory access and dispatches it to the
 // directory handler for its type.
 func memDone(a any) {
 	j := a.(*memJob)
-	h, m, e := j.h, j.m, j.e
-	j.m, j.e = nil, nil
-	h.memFree = append(h.memFree, j)
+	h, m, e := j.h, &j.m, j.e
 	h.sys.tmark(m.Txn, telemetry.PhaseMemory)
 	switch m.Type {
 	case MsgReadReq:
@@ -271,20 +294,46 @@ func memDone(a any) {
 	case MsgWBReq:
 		h.wbReq(m, e)
 	}
+	h.putMemJob(j)
 }
 
 func (h *HomeCtl) finish(b memsys.Block, e *dirEntry) {
 	e.busy = false
 	e.txn = txNone
-	e.txnReq = nil
+	e.txnReq = Msg{}
 	h.drainDeferred(b, e)
 }
 
 func (h *HomeCtl) drainDeferred(b memsys.Block, e *dirEntry) {
 	for !e.busy && len(e.deferred) > 0 {
 		m := e.deferred[0]
-		e.deferred = e.deferred[1:]
-		h.process(m, e)
+		n := copy(e.deferred, e.deferred[1:])
+		e.deferred = e.deferred[:n]
+		if n == 0 {
+			h.recycle(&e.deferred)
+		}
+		h.process(&m, e)
+	}
+}
+
+// enqueue appends a copy of m to a deferred or parked queue. Queue buffers
+// come from the home's free list, so only entries with requests waiting
+// hold one.
+func (h *HomeCtl) enqueue(q *[]Msg, m *Msg) {
+	if *q == nil {
+		if n := len(h.queueFree); n > 0 {
+			*q = h.queueFree[n-1]
+			h.queueFree = h.queueFree[:n-1]
+		}
+	}
+	*q = append(*q, *m)
+}
+
+// recycle returns an emptied queue's buffer to the free list.
+func (h *HomeCtl) recycle(q *[]Msg) {
+	if *q != nil {
+		h.queueFree = append(h.queueFree, (*q)[:0])
+		*q = nil
 	}
 }
 
@@ -304,14 +353,14 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 			// A speculative fetch would steal the block from its active
 			// writer; reject it. (Migratory blocks are the exception: the
 			// whole point of P+M is to prefetch them exclusively.)
-			h.send(&Msg{Type: MsgPrefNack, Block: b, Dst: m.Src, Txn: m.Txn})
+			h.send(&Msg{Type: MsgPrefNack, Block: b, id: m.id, Dst: m.Src, Txn: m.Txn})
 			h.finish(b, e)
 			return
 		}
 		// Serviced in four node-to-node transfers via the owner.
 		e.txn = txFwd
 		h.send(&Msg{
-			Type: MsgFwd, Block: b, Dst: e.owner,
+			Type: MsgFwd, Block: b, id: m.id, Dst: e.owner,
 			Requester: m.Src, Mig: mig, Prefetch: m.Prefetch, Txn: m.Txn,
 		})
 		return
@@ -326,7 +375,7 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 		h.setPresence(e, bit(m.Src))
 		e.grants++
 		h.ckDir(b, e, "excl-supply")
-		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: e.grants, Payload: e.data, Txn: m.Txn})
+		h.send(&Msg{Type: MsgReadReply, Block: b, id: m.id, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: e.grants, Payload: e.data, Txn: m.Txn})
 		h.finish(b, e)
 		return
 	}
@@ -334,18 +383,17 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 		h.addSharer(e, m.Src)
 	}
 	h.ckDir(b, e, "read-share")
-	h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Prefetch: m.Prefetch, Payload: e.data, Txn: m.Txn})
+	h.send(&Msg{Type: MsgReadReply, Block: b, id: m.id, Dst: m.Src, Data: true, Prefetch: m.Prefetch, Payload: e.data, Txn: m.Txn})
 	h.finish(b, e)
 }
 
 // onFwdReply completes a transaction that needed the owner's copy.
 func (h *HomeCtl) onFwdReply(m *Msg) {
 	b := m.Block
-	e := h.entry(b)
+	e := h.entry(m.id)
 	if !e.busy || (e.txn != txFwd && e.txn != txRecall) {
 		panic(fmt.Sprintf("home %d: unexpected FwdReply for block %d", h.id, b))
 	}
-	req := e.txnReq
 	if m.Mask != 0 {
 		// Forward served from a writeback buffer: only the masked words are
 		// meaningful (a relinquished frame carries just its written words).
@@ -354,60 +402,72 @@ func (h *HomeCtl) onFwdReply(m *Msg) {
 		e.data = m.Payload
 	}
 	// Write the returned data back to memory.
-	h.sys.Eng.After(h.sys.P.Timing.MemAccess, func() {
-		h.sys.tmark(req.Txn, telemetry.PhaseMemory)
-		switch {
-		case e.txn == txRecall:
-			// Recalled to serve a competitive update: apply the update and
-			// hand the block to the updater exclusively.
-			e.state = dirModified
+	h.afterMem(m, e, fwdDone)
+}
+
+// fwdDone completes the memory write of a forwarded block (the job's
+// message is the FwdReply) and answers the request being served.
+func fwdDone(a any) {
+	j := a.(*memJob)
+	j.h.fwdWritten(&j.m, j.e)
+	j.h.putMemJob(j)
+}
+
+func (h *HomeCtl) fwdWritten(m *Msg, e *dirEntry) {
+	b := m.Block
+	req := &e.txnReq
+	h.sys.tmark(req.Txn, telemetry.PhaseMemory)
+	switch {
+	case e.txn == txRecall:
+		// Recalled to serve a competitive update: apply the update and
+		// hand the block to the updater exclusively.
+		e.state = dirModified
+		e.owner = req.Src
+		h.setPresence(e, bit(req.Src))
+		e.lastWriter = req.Src
+		e.grants++
+		h.applyUpdate(e, req)
+		h.ckDir(b, e, "recall-grant")
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, id: m.id, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+	case req.Type == MsgOwnReq:
+		// Write miss to a dirty block: exclusive handoff.
+		e.owner = req.Src
+		h.setPresence(e, bit(req.Src))
+		e.lastWriter = req.Src
+		e.grants++
+		h.ckDir(b, e, "fwd-grant")
+		h.send(&Msg{Type: MsgOwnAck, Block: b, id: m.id, Dst: req.Src, Data: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+	case req.Type == MsgReadReq && e.migratory && h.sys.P.M:
+		if m.Wrote {
+			// Still migratory: pass the exclusive copy along.
+			h.ExclusiveSupplies++
 			e.owner = req.Src
 			h.setPresence(e, bit(req.Src))
 			e.lastWriter = req.Src
 			e.grants++
-			h.applyUpdate(e, req)
-			h.ckDir(b, e, "recall-grant")
-			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
-		case req.Type == MsgOwnReq:
-			// Write miss to a dirty block: exclusive handoff.
-			e.owner = req.Src
-			h.setPresence(e, bit(req.Src))
-			e.lastWriter = req.Src
-			e.grants++
-			h.ckDir(b, e, "fwd-grant")
-			h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
-		case req.Type == MsgReadReq && e.migratory && h.sys.P.M:
-			if m.Wrote {
-				// Still migratory: pass the exclusive copy along.
-				h.ExclusiveSupplies++
-				e.owner = req.Src
-				h.setPresence(e, bit(req.Src))
-				e.lastWriter = req.Src
-				e.grants++
-				h.ckDir(b, e, "mig-pass")
-				h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
-			} else {
-				// The holder never wrote its exclusive copy: the pattern is
-				// no longer migratory. Revert to ordinary sharing (the
-				// extra-cache-state mechanism of paper §3.2).
-				h.MigratoryReverts++
-				h.sys.traceNode(trace.DirTransition, "revert", b, h.id, "")
-				e.migratory = false
-				e.state = dirClean
-				h.setPresence(e, bit(m.Src)|bit(req.Src))
-				h.ckDir(b, e, "revert")
-				h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
-			}
-		default:
-			// Ordinary read miss to a dirty block: owner downgraded to
-			// Shared, memory updated, requester added.
+			h.ckDir(b, e, "mig-pass")
+			h.send(&Msg{Type: MsgReadReply, Block: b, id: m.id, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+		} else {
+			// The holder never wrote its exclusive copy: the pattern is
+			// no longer migratory. Revert to ordinary sharing (the
+			// extra-cache-state mechanism of paper §3.2).
+			h.MigratoryReverts++
+			h.sys.traceNode(trace.DirTransition, "revert", b, h.id, "")
+			e.migratory = false
 			e.state = dirClean
-			h.addSharer(e, req.Src)
-			h.ckDir(b, e, "fwd-downgrade")
-			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
+			h.setPresence(e, bit(m.Src)|bit(req.Src))
+			h.ckDir(b, e, "revert")
+			h.send(&Msg{Type: MsgReadReply, Block: b, id: m.id, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
 		}
-		h.finish(b, e)
-	})
+	default:
+		// Ordinary read miss to a dirty block: owner downgraded to
+		// Shared, memory updated, requester added.
+		e.state = dirClean
+		h.addSharer(e, req.Src)
+		h.ckDir(b, e, "fwd-downgrade")
+		h.send(&Msg{Type: MsgReadReply, Block: b, id: m.id, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
+	}
+	h.finish(b, e)
 }
 
 // ---------- Ownership requests ----------
@@ -418,7 +478,7 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 	if e.state == dirModified {
 		// Dirty elsewhere: take the copy away from the owner.
 		e.txn = txFwd
-		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Requester: m.Src, Excl: true, Txn: m.Txn})
+		h.send(&Msg{Type: MsgFwd, Block: b, id: m.id, Dst: e.owner, Requester: m.Src, Excl: true, Txn: m.Txn})
 		return
 	}
 	// Migratory detection (paper §3.2, following Stenström et al.): an
@@ -435,7 +495,7 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 	sharers := h.sharersFor(e, m.Src)
 	e.needData = e.presence&bit(m.Src) == 0
 	if sharers == 0 {
-		h.grantOwnership(b, e, m.Src)
+		h.grantOwnership(b, m.id, e, m.Src)
 		return
 	}
 	if e.overflow {
@@ -445,14 +505,14 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 	e.acksLeft = bits.OnesCount64(sharers)
 	for n := 0; n < h.sys.P.Nodes; n++ {
 		if sharers&bit(n) != 0 {
-			h.send(&Msg{Type: MsgInv, Block: b, Dst: n})
+			h.send(&Msg{Type: MsgInv, Block: b, id: m.id, Dst: n})
 		}
 	}
 }
 
 func (h *HomeCtl) onInvAck(m *Msg) {
 	b := m.Block
-	e := h.entry(b)
+	e := h.entry(m.id)
 	if !e.busy || e.txn != txInv {
 		panic(fmt.Sprintf("home %d: unexpected InvAck for block %d", h.id, b))
 	}
@@ -462,19 +522,23 @@ func (h *HomeCtl) onInvAck(m *Msg) {
 	if e.acksLeft == 0 {
 		// The invalidation fan-out round trip ends with the last ack.
 		h.sys.tmark(e.txnReq.Txn, telemetry.PhaseGather)
-		h.grantOwnership(b, e, e.txnReq.Src)
+		h.grantOwnership(b, m.id, e, e.txnReq.Src)
 	}
 }
 
-func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, to int) {
-	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, fmt.Sprintf("to=%d", to))
+func (h *HomeCtl) grantOwnership(b memsys.Block, id int32, e *dirEntry, to int) {
+	note := ""
+	if h.sys.Tracer != nil {
+		note = fmt.Sprintf("to=%d", to) // formatted only for the trace
+	}
+	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, note)
 	e.state = dirModified
 	e.owner = to
 	h.setPresence(e, bit(to))
 	e.lastWriter = to
 	e.grants++
 	h.ckDir(b, e, "grant")
-	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: to, Data: e.needData, Stamp: e.grants, Payload: e.data, Txn: e.txnReq.Txn})
+	h.send(&Msg{Type: MsgOwnAck, Block: b, id: id, Dst: to, Data: e.needData, Stamp: e.grants, Payload: e.data, Txn: e.txnReq.Txn})
 	h.finish(b, e)
 }
 
@@ -488,7 +552,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 			// The updater became the exclusive owner while these writes
 			// were still combining in its write cache; its dirty line
 			// already holds them, so just acknowledge.
-			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Excl: true, Stamp: e.grants, Txn: m.Txn})
+			h.send(&Msg{Type: MsgUpdateAck, Block: b, id: m.id, Dst: m.Src, Excl: true, Stamp: e.grants, Txn: m.Txn})
 			h.finish(b, e)
 			return
 		}
@@ -496,7 +560,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 		// CW+M) while this updater still had combined writes buffered:
 		// recall the owner's copy, then hand the block to the updater.
 		e.txn = txRecall
-		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Requester: m.Src, Excl: true, Txn: m.Txn})
+		h.send(&Msg{Type: MsgFwd, Block: b, id: m.id, Dst: e.owner, Requester: m.Src, Excl: true, Txn: m.Txn})
 		return
 	}
 	h.applyUpdate(e, m)
@@ -518,7 +582,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 		e.lastWriter = m.Src
 		e.grants++
 		h.ckDir(b, e, "update-excl")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: e.data, Txn: m.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, id: m.id, Dst: m.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: e.data, Txn: m.Txn})
 		h.finish(b, e)
 		return
 	}
@@ -528,14 +592,14 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 	e.gaveUp = true
 	for n := 0; n < h.sys.P.Nodes; n++ {
 		if others&bit(n) != 0 {
-			h.send(&Msg{Type: MsgUpdCopy, Block: b, Dst: n, Mask: m.Mask, Probe: probe, Payload: e.data})
+			h.send(&Msg{Type: MsgUpdCopy, Block: b, id: m.id, Dst: n, Mask: m.Mask, Probe: probe, Payload: e.data})
 		}
 	}
 }
 
 func (h *HomeCtl) onUpdAck(m *Msg) {
 	b := m.Block
-	e := h.entry(b)
+	e := h.entry(m.id)
 	if !e.busy || e.txn != txUpd {
 		panic(fmt.Sprintf("home %d: unexpected UpdAck for block %d", h.id, b))
 	}
@@ -550,7 +614,7 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 	if e.acksLeft > 0 {
 		return
 	}
-	req := e.txnReq
+	req := &e.txnReq
 	// The update fan-out round trip ends with the last sharer's ack.
 	h.sys.tmark(req.Txn, telemetry.PhaseGather)
 	if e.probing && e.gaveUp {
@@ -565,12 +629,12 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 		e.lastWriter = req.Src
 		e.grants++
 		h.ckDir(b, e, "update-grant")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, id: m.id, Dst: req.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
 	} else {
 		// The updater keeps a Shared copy (if it has one); the ack carries
 		// the post-update memory image so that copy reflects its own writes'
 		// serialized versions.
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Payload: e.data, Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, id: m.id, Dst: req.Src, Payload: e.data, Txn: req.Txn})
 	}
 	h.finish(b, e)
 }
@@ -602,12 +666,13 @@ func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 		h.StaleWritebacks++
 		h.sys.traceNode(trace.DirTransition, "stale-wb", b, h.id, "")
 	}
-	h.send(&Msg{Type: MsgWBAck, Block: b, Dst: m.Src})
+	h.send(&Msg{Type: MsgWBAck, Block: b, id: m.id, Dst: m.Src})
 	// The owner's parked requests can proceed now that the writeback
-	// resolved.
+	// resolved, ahead of the deferred ones.
 	if len(e.parked) > 0 {
-		e.deferred = append(e.parked, e.deferred...)
-		e.parked = nil
+		q := append(e.parked, e.deferred...)
+		e.parked, e.deferred = e.deferred[:0], q
+		h.recycle(&e.parked)
 	}
 	h.finish(b, e)
 }
@@ -615,41 +680,52 @@ func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 // ---------- Locks and barriers ----------
 
 func (h *HomeCtl) onLock(m *Msg) {
-	l := h.locks[m.Block]
-	if l == nil {
-		l = &syncprim.Lock{}
-		h.locks[m.Block] = l
+	if h.locks[m.Block] == nil {
+		h.locks[m.Block] = &syncprim.Lock{}
 	}
-	h.sys.Eng.After(h.sys.P.Timing.MemAccess, func() {
-		switch m.Type {
-		case MsgLockReq:
-			if l.Acquire(m.Src) {
-				h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: m.Src})
-			}
-		case MsgLockRel:
-			if next, ok := l.Release(m.Src); ok {
-				h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: next})
-			}
-			if h.sys.P.SC {
-				h.send(&Msg{Type: MsgRelAck, Block: m.Block, Dst: m.Src})
-			}
+	h.afterMem(m, nil, lockDone)
+}
+
+// lockDone performs a lock request or release once the lock variable's
+// memory access completes.
+func lockDone(a any) {
+	j := a.(*memJob)
+	h, m := j.h, &j.m
+	l := h.locks[m.Block]
+	switch m.Type {
+	case MsgLockReq:
+		if l.Acquire(m.Src) {
+			h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: m.Src})
 		}
-	})
+	case MsgLockRel:
+		if next, ok := l.Release(m.Src); ok {
+			h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: next})
+		}
+		if h.sys.P.SC {
+			h.send(&Msg{Type: MsgRelAck, Block: m.Block, Dst: m.Src})
+		}
+	}
+	h.putMemJob(j)
 }
 
 func (h *HomeCtl) onBarrier(m *Msg) {
-	bar := h.barriers[m.BarID]
-	if bar == nil {
-		bar = syncprim.NewBarrier(h.sys.P.Nodes)
-		h.barriers[m.BarID] = bar
+	if h.barriers[m.BarID] == nil {
+		h.barriers[m.BarID] = syncprim.NewBarrier(h.sys.P.Nodes)
 	}
-	h.sys.Eng.After(h.sys.P.Timing.MemAccess, func() {
-		if rel, done := bar.Arrive(m.Src); done {
-			for _, p := range rel {
-				h.send(&Msg{Type: MsgBarGo, BarID: m.BarID, Dst: p})
-			}
+	h.afterMem(m, nil, barrierDone)
+}
+
+// barrierDone records a barrier arrival once the barrier variable's memory
+// access completes, releasing everyone when it is the last.
+func barrierDone(a any) {
+	j := a.(*memJob)
+	h, m := j.h, &j.m
+	if rel, done := h.barriers[m.BarID].Arrive(m.Src); done {
+		for _, p := range rel {
+			h.send(&Msg{Type: MsgBarGo, BarID: m.BarID, Dst: p})
 		}
-	})
+	}
+	h.putMemJob(j)
 }
 
 // DirEntryInfo is a read-only snapshot of a directory entry for tests and
@@ -665,7 +741,7 @@ type DirEntryInfo struct {
 // Entry returns a snapshot of the directory entry for b, or ok=false when
 // the home has never seen the block.
 func (h *HomeCtl) Entry(b memsys.Block) (DirEntryInfo, bool) {
-	e := h.dir[b]
+	e := h.sys.dirOf(b)
 	if e == nil {
 		return DirEntryInfo{}, false
 	}

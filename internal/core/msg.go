@@ -48,7 +48,7 @@ const (
 	MsgPrefNack
 )
 
-var msgNames = map[MsgType]string{
+var msgNames = [...]string{
 	MsgReadReq: "ReadReq", MsgOwnReq: "OwnReq", MsgUpdateReq: "UpdateReq",
 	MsgWBReq: "WBReq", MsgReadReply: "ReadReply", MsgOwnAck: "OwnAck",
 	MsgUpdateAck: "UpdateAck", MsgInv: "Inv", MsgFwd: "Fwd", MsgWBAck: "WBAck",
@@ -58,14 +58,24 @@ var msgNames = map[MsgType]string{
 	MsgBarGo: "BarGo", MsgPrefNack: "PrefNack",
 }
 
-func (t MsgType) String() string { return msgNames[t] }
+// String names the type; the flight recorder calls it on every send and
+// receive, so it is an array index.
+func (t MsgType) String() string {
+	if uint(t) < uint(len(msgNames)) {
+		return msgNames[t]
+	}
+	return ""
+}
 
-// Msg is one protocol message.
+// Msg is one protocol message. Messages travel by value inside the pooled
+// event records (hops, SLC jobs, memory jobs); a handler's *Msg is borrowed
+// until its record returns to the pool, so anything kept longer is a copy.
 type Msg struct {
 	Type  MsgType
 	Block memsys.Block
-	Src   int // sending node
-	Dst   int // receiving node
+	id    int32 // Block's dense id (System.blockID); unused by sync messages
+	Src   int   // sending node
+	Dst   int   // receiving node
 
 	Requester int              // original requester, for forwarded messages
 	Txn       uint64           // telemetry span this message belongs to (0 = untracked)

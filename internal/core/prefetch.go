@@ -1,9 +1,6 @@
 package core
 
-import (
-	"ccsim/internal/memsys"
-	"ccsim/internal/stats"
-)
+import "ccsim/internal/stats"
 
 // Prefetcher implements adaptive sequential prefetching (paper §3.1,
 // following Dahlgren, Dubois & Stenström, ICPP '93). On each SLC read miss
@@ -32,8 +29,12 @@ type Prefetcher struct {
 	prefCount   int // prefetched blocks received this window (mod 16)
 	usefulCount int // useful prefetches this window
 
-	zeroBits   map[memsys.Block]bool // per-line zero bits
-	zeroCount  int                   // simulated prefetches this window (mod 16)
+	// The per-line zero bits live in the controller's block records: a bit
+	// is set when it equals zeroGen, so bumping the generation clears them
+	// all at once. zeroSet counts the bits set in this generation.
+	zeroGen    uint32
+	zeroSet    int
+	zeroCount  int // simulated prefetches this window (mod 16)
 	zeroUseful int
 
 	// Stats accumulates whole-run effectiveness counters.
@@ -45,55 +46,53 @@ const prefetchWindow = 16
 // NewPrefetcher returns a prefetcher starting at degree 1.
 func NewPrefetcher(maxK, highMark, lowMark int) *Prefetcher {
 	return &Prefetcher{
-		maxK:     maxK,
-		high:     highMark,
-		low:      lowMark,
-		k:        1,
-		zeroBits: make(map[memsys.Block]bool),
+		maxK:    maxK,
+		high:    highMark,
+		low:     lowMark,
+		k:       1,
+		zeroGen: 1,
 	}
 }
 
-// Degree returns the current degree of prefetching K.
+// Degree returns the current degree of prefetching K: after a demand miss
+// on block B the controller prefetches blocks B+1 .. B+K, skipping those
+// already present or pending.
 func (p *Prefetcher) Degree() int { return p.k }
 
-// Candidates returns the blocks to prefetch after a demand miss on b:
-// the K consecutive blocks directly following b. The controller filters
-// out blocks already present or pending.
-func (p *Prefetcher) Candidates(b memsys.Block) []memsys.Block {
-	if p.k == 0 {
-		return nil
-	}
-	out := make([]memsys.Block, 0, p.k)
-	for i := 1; i <= p.k; i++ {
-		out = append(out, b.Next(i))
-	}
-	return out
-}
-
-// OnMiss records a demand read miss on block b. It drives the zero-degree
-// detection machinery; the controller must call it on every demand miss,
-// whatever the current degree.
-func (p *Prefetcher) OnMiss(b memsys.Block) {
+// OnMiss records a demand read miss while the degree is zero (the
+// controller calls it on every such miss); it drives the zero-degree
+// detection machinery. own and next are the zero bits of the missed block
+// and of the block after it.
+func (p *Prefetcher) OnMiss(own, next *uint32) {
 	if p.k > 0 {
 		return
 	}
-	if p.zeroBits[b] {
-		delete(p.zeroBits, b)
+	if *own == p.zeroGen {
+		*own = 0
+		p.zeroSet--
 		p.zeroUseful++
 	}
 	// Simulate a degree-1 prefetch of the following block.
-	p.zeroBits[b.Next(1)] = true
-	if len(p.zeroBits) > 4096 { // per-line bits are lossy by nature
-		p.zeroBits = make(map[memsys.Block]bool)
+	if *next != p.zeroGen {
+		*next = p.zeroGen
+		p.zeroSet++
+	}
+	if p.zeroSet > 4096 { // per-line bits are lossy by nature
+		p.clearZeroBits()
 	}
 	p.zeroCount++
 	if p.zeroCount >= prefetchWindow {
 		if p.zeroUseful >= p.high {
 			p.k = 1
-			p.zeroBits = make(map[memsys.Block]bool)
+			p.clearZeroBits()
 		}
 		p.zeroCount, p.zeroUseful = 0, 0
 	}
+}
+
+func (p *Prefetcher) clearZeroBits() {
+	p.zeroGen++
+	p.zeroSet = 0
 }
 
 // OnIssue records that a prefetch request was sent to memory.

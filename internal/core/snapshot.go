@@ -72,7 +72,7 @@ func (s *System) FaultSnapshot(block uint64, hasBlock bool) *fault.Snapshot {
 // home never allocated one).
 func (s *System) dirSnapshot(b memsys.Block) *fault.DirState {
 	home := s.HomeOf(b)
-	e := s.Nodes[home].Home.dir[b]
+	e := s.dirOf(b)
 	if e == nil {
 		return nil
 	}
@@ -99,8 +99,8 @@ func (s *System) dirSnapshot(b memsys.Block) *fault.DirState {
 // cache, block order.
 func (c *CacheCtl) describePending() []string {
 	var out []string
-	for _, b := range sortedBlocks(c.mshrs) {
-		ms := c.mshrs[b]
+	for _, id := range c.sortedRecs(func(r *blockRec) bool { return r.ms != nil }) {
+		b, ms := c.sys.blocks[id], c.rec(id).ms
 		kind := [...]string{"read", "ownership", "update"}[ms.kind]
 		line := fmt.Sprintf("block %d: %s in flight (%d readers, %d writes",
 			b, kind, len(ms.readers), ms.nWrites)
@@ -112,9 +112,21 @@ func (c *CacheCtl) describePending() []string {
 		}
 		out = append(out, line+")")
 	}
-	for _, b := range sortedBlocks(c.wbPending) {
-		out = append(out, fmt.Sprintf("block %d: writeback in flight", b))
+	for _, id := range c.sortedRecs(func(r *blockRec) bool { return r.flags&wbPending != 0 }) {
+		out = append(out, fmt.Sprintf("block %d: writeback in flight", c.sys.blocks[id]))
 	}
+	return out
+}
+
+// sortedRecs returns the ids of the records keep selects, in block order.
+func (c *CacheCtl) sortedRecs(keep func(*blockRec) bool) []int32 {
+	var out []int32
+	for id := int32(0); id < int32(len(c.sys.blocks)); id++ {
+		if r := c.recs.peek(id); r != nil && keep(r) {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return c.sys.blocks[out[i]] < c.sys.blocks[out[j]] })
 	return out
 }
 
@@ -126,8 +138,8 @@ func (s *System) BlockedSync() []string {
 	var out []string
 	for _, n := range s.Nodes {
 		c := n.Cache
-		for _, b := range sortedBlocks(c.mshrs) {
-			ms := c.mshrs[b]
+		for _, id := range c.sortedRecs(func(r *blockRec) bool { return r.ms != nil }) {
+			b, ms := s.blocks[id], c.rec(id).ms
 			if len(ms.readers) > 0 {
 				out = append(out, fmt.Sprintf("proc %d blocked reading block %d", c.id, b))
 			}
@@ -144,7 +156,7 @@ func (s *System) BlockedSync() []string {
 		if len(c.relAckWaiters) > 0 {
 			out = append(out, fmt.Sprintf("proc %d awaiting release ack", c.id))
 		}
-		if c.flwbWaiter != nil {
+		if c.flwbWaiting {
 			out = append(out, fmt.Sprintf("proc %d blocked on full FLWB", c.id))
 		}
 	}

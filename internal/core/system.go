@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ccsim/internal/cache"
 	"ccsim/internal/check"
 	"ccsim/internal/fault"
 	"ccsim/internal/memsys"
@@ -71,10 +72,19 @@ type System struct {
 	lastToHome bool
 	lastValid  bool
 
+	// Block ids (see blocks.go): ids numbers each block on first sight,
+	// blocks maps an id back to its block, and dir is the directory, one
+	// entry per block, each used only by the block's home (HomeCtl.entry
+	// enforces it).
+	ids    map[memsys.Block]int32
+	blocks []memsys.Block
+	dir    table[dirEntry]
+
 	// Data-value verification state (Params.VerifyData): a per-word version
 	// counter per block, advanced at each write's global serialization
 	// point, and the violations found.
-	verSeq         map[memsys.Block]*memsys.BlockData
+	verify         bool
+	verSeq         table[memsys.BlockData]
 	DataViolations []string
 
 	// hopFree recycles the per-message event-chain records Send schedules;
@@ -82,27 +92,31 @@ type System struct {
 	hopFree []*hop
 }
 
-// nextVersion serializes a write to (b, w) and returns its version.
-func (s *System) nextVersion(b memsys.Block, w int) int64 {
-	c := s.verSeq[b]
-	if c == nil {
-		c = &memsys.BlockData{}
-		s.verSeq[b] = c
-	}
-	c[w]++
-	return c[w]
-}
-
 // serialize is a write's global serialization point on behalf of node: it
-// draws the next version for (b, w) and reports it to the live checker,
-// which asserts the serialization order is gapless and (under LogObs)
-// records it for litmus outcome predicates.
-func (s *System) serialize(node int, b memsys.Block, w int) int64 {
-	v := s.nextVersion(b, w)
+// draws the next version for word w of block id and reports it to the live
+// checker, which asserts the serialization order is gapless and (under
+// LogObs) records it for litmus outcome predicates.
+func (s *System) serialize(node int, id int32, w int) int64 {
+	seq := s.verSeq.at(id)
+	seq[w]++
+	v := seq[w]
 	if s.Check != nil {
-		s.Check.OnWrite(node, b, w, v)
+		s.Check.OnWrite(node, s.blocks[id], w, v)
 	}
 	return v
+}
+
+// dirOf returns block b's directory entry, or nil when its home never
+// handled a request for it.
+func (s *System) dirOf(b memsys.Block) *dirEntry {
+	id, ok := s.ids[b]
+	if !ok {
+		return nil
+	}
+	if e := s.dir.peek(id); e != nil && e.seen {
+		return e
+	}
+	return nil
 }
 
 // takeMutation fires the armed protocol mutation if it matches kind,
@@ -187,10 +201,8 @@ func NewSystem(eng *sim.Engine, net network.Net, params Params) (*System, error)
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{Eng: eng, Net: net, P: params, statsOn: true}
-	if params.VerifyData {
-		s.verSeq = make(map[memsys.Block]*memsys.BlockData)
-	}
+	s := &System{Eng: eng, Net: net, P: params, statsOn: true,
+		ids: make(map[memsys.Block]int32), verify: params.VerifyData}
 	s.mutArmed = params.Mutate != ""
 	s.Nodes = make([]*Node, params.Nodes)
 	for i := range s.Nodes {
@@ -216,40 +228,44 @@ func (s *System) busTime(m *Msg) sim.Time {
 	return s.P.Timing.BusCtl
 }
 
-// hop carries one in-flight message across its source bus -> network ->
-// destination bus event chain. Hops are recycled through System.hopFree, so
-// the per-message event chain — the hottest scheduling pattern in the
-// simulator — allocates nothing once the free list is warm.
+// hop carries one in-flight message, by value, across its source bus ->
+// network -> destination bus event chain. Hops are recycled through
+// System.hopFree, so the per-message event chain — the hottest scheduling
+// pattern in the simulator — allocates nothing once the free list is warm.
+// The delivered message is lent to its handler until the hop returns to
+// the free list.
 type hop struct {
 	s  *System
-	m  *Msg
+	m  Msg
 	bt sim.Time
 }
 
 func (s *System) getHop(m *Msg, bt sim.Time) *hop {
+	var h *hop
 	if n := len(s.hopFree); n > 0 {
-		h := s.hopFree[n-1]
+		h = s.hopFree[n-1]
 		s.hopFree = s.hopFree[:n-1]
-		h.m, h.bt = m, bt
-		return h
+	} else {
+		h = &hop{s: s}
 	}
-	return &hop{s: s, m: m, bt: bt}
+	h.m, h.bt = *m, bt
+	return h
 }
 
-func (s *System) putHop(h *hop) {
-	h.m = nil
+// deliver hands the hop's message to its controller, then recycles the hop.
+func (s *System) deliver(h *hop) {
+	s.dispatch(&h.m)
 	s.hopFree = append(s.hopFree, h)
 }
 
 // hopSrcBus runs when the message clears its source node's bus.
 func hopSrcBus(a any) {
 	h := a.(*hop)
-	s, m := h.s, h.m
+	s, m := h.s, &h.m
 	if m.Src == m.Dst {
 		// Local: one bus transaction carries the message to the memory
 		// module or cache; no network involvement.
-		s.putHop(h)
-		s.dispatch(m)
+		s.deliver(h)
 		return
 	}
 	if s.statsOn {
@@ -270,9 +286,7 @@ func hopArrive(a any) {
 // hopDstBus runs when the message clears the destination node's bus.
 func hopDstBus(a any) {
 	h := a.(*hop)
-	s, m := h.s, h.m
-	s.putHop(h)
-	s.dispatch(m)
+	h.s.deliver(h)
 }
 
 // Send transmits m from m.Src to m.Dst: across the source node's bus, then
@@ -363,124 +377,98 @@ func (s *System) CheckInvariantsBestEffort(max int) []string {
 
 // invariantErrors is the shared invariant walker. In quiescent mode a
 // non-quiesced home entry is itself a violation; in best-effort mode any
-// block with in-flight state anywhere is excluded from every check. The
-// walk visits maps, so findings are sorted before truncating to max to
-// keep fault dumps deterministic.
+// block with in-flight state anywhere is excluded from every check. It
+// walks the blocks in id order; findings are sorted before truncating to
+// max to keep fault dumps deterministic.
 func (s *System) invariantErrors(quiescent bool, max int) []error {
 	var errs []error
-	report := func(format string, args ...any) bool {
+	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
-		return false
 	}
-	// Gather every cached copy, and (for best-effort mode) every block a
-	// cache controller still has a transaction or writeback in flight for.
+	// Every cached copy, grouped by block id in node order: block id's
+	// copies are all[first[id]:first[id+1]].
 	type copyInfo struct {
 		node  int
 		state string
 		dirty bool
 	}
-	copies := make(map[memsys.Block][]copyInfo)
-	inflight := make(map[memsys.Block]bool)
+	first := make([]int, len(s.blocks)+1)
 	for _, n := range s.Nodes {
-		n.Cache.forEachLine(func(b memsys.Block, st string, dirty bool) {
-			copies[b] = append(copies[b], copyInfo{n.ID, st, dirty})
+		n.Cache.forEachLine(func(id int32, _ *cache.Line) { first[id+1]++ })
+	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	all := make([]copyInfo, first[len(s.blocks)])
+	fill := append([]int(nil), first...)
+	for _, n := range s.Nodes {
+		n.Cache.forEachLine(func(id int32, l *cache.Line) {
+			all[fill[id]] = copyInfo{n.ID, l.State.String(), l.State == cache.Dirty}
+			fill[id]++
 		})
-		if !quiescent {
-			for b := range n.Cache.mshrs {
-				inflight[b] = true
-			}
-			for b := range n.Cache.wbPending {
-				inflight[b] = true
-			}
-		}
 	}
-	for _, n := range s.Nodes {
-		for b, e := range n.Home.dir {
-			if s.HomeOf(b) != n.ID {
-				if report("block %d: directory entry at node %d, home is %d", b, n.ID, s.HomeOf(b)) {
-					return errs
-				}
-				continue
-			}
-			if e.busy || len(e.deferred) > 0 || len(e.parked) > 0 {
-				if !quiescent {
-					inflight[b] = true
-					continue
-				}
-				if report("block %d: home not quiesced", b) {
-					return errs
-				}
-				continue
-			}
-			if inflight[b] {
-				continue
-			}
-			dirties := 0
-			for _, c := range copies[b] {
-				if c.dirty {
-					dirties++
-				}
-			}
-			switch e.state {
-			case dirClean:
-				if dirties != 0 {
-					if report("block %d: CLEAN at home but %d dirty copies", b, dirties) {
-						return errs
-					}
-				}
-				// An entry with an empty presence vector claims the block is
-				// uncached machine-wide: no copy of any kind may exist.
-				if e.presence == 0 && len(copies[b]) > 0 {
-					if report("block %d: uncached at home but %d cached copies", b, len(copies[b])) {
-						return errs
-					}
-				}
-				// Presence must be a superset of actual holders (silent
-				// replacement makes it a superset, not an exact set).
-				for _, c := range copies[b] {
-					if e.presence&(1<<uint(c.node)) == 0 {
-						if report("block %d: node %d holds a copy not in the presence vector", b, c.node) {
-							return errs
-						}
-					}
-				}
-			case dirModified:
-				if dirties > 1 {
-					if report("block %d: %d dirty copies", b, dirties) {
-						return errs
-					}
-				}
-				for _, c := range copies[b] {
-					if c.node != e.owner {
-						if report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, e.owner, c.node, c.state) {
-							return errs
-						}
-					}
-				}
-			default:
-				// A directory entry outside the known states is corrupt
-				// whatever the copies look like.
-				if report("block %d: unknown directory state %d", b, e.state) {
-					return errs
-				}
-			}
-		}
-	}
-	// No cache may hold a dirty copy of a block its home believes clean —
-	// covered above — and every dirty copy must be the registered owner.
-	for b, cs := range copies {
-		if inflight[b] {
+	for id, b := range s.blocks {
+		copies := all[first[id]:first[id+1]]
+		id := int32(id)
+		// Best-effort mode skips blocks a cache controller still has a
+		// transaction or writeback in flight for.
+		if !quiescent && s.cachesBusy(id) {
 			continue
 		}
-		for _, c := range cs {
+		var e *dirEntry
+		if d := s.dir.peek(id); d != nil && d.seen {
+			e = d
+		}
+		active := e != nil && e.active()
+		if active {
+			if !quiescent {
+				continue
+			}
+			report("block %d: home not quiesced", b)
+		}
+		dirties := 0
+		for _, c := range copies {
 			if c.dirty {
-				e := s.Nodes[s.HomeOf(b)].Home.dir[b]
+				dirties++
+				// Every dirty copy must be the registered owner.
 				if e == nil || e.state != dirModified || e.owner != c.node {
-					if report("block %d: dirty at node %d without matching directory state", b, c.node) {
-						return errs
-					}
+					report("block %d: dirty at node %d without matching directory state", b, c.node)
 				}
 			}
+		}
+		if e == nil || active {
+			continue
+		}
+		switch e.state {
+		case dirClean:
+			if dirties != 0 {
+				report("block %d: CLEAN at home but %d dirty copies", b, dirties)
+			}
+			// An entry with an empty presence vector claims the block is
+			// uncached machine-wide: no copy of any kind may exist.
+			if e.presence == 0 && len(copies) > 0 {
+				report("block %d: uncached at home but %d cached copies", b, len(copies))
+			}
+			// Presence must be a superset of actual holders (silent
+			// replacement makes it a superset, not an exact set).
+			for _, c := range copies {
+				if e.presence&(1<<uint(c.node)) == 0 {
+					report("block %d: node %d holds a copy not in the presence vector", b, c.node)
+				}
+			}
+		case dirModified:
+			if dirties > 1 {
+				report("block %d: %d dirty copies", b, dirties)
+			}
+			for _, c := range copies {
+				if c.node != e.owner {
+					report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, e.owner, c.node, c.state)
+				}
+			}
+		default:
+			// A directory entry outside the known states is corrupt
+			// whatever the copies look like.
+			report("block %d: unknown directory state %d", b, e.state)
 		}
 	}
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
@@ -488,4 +476,15 @@ func (s *System) invariantErrors(quiescent bool, max int) []error {
 		errs = errs[:max]
 	}
 	return errs
+}
+
+// cachesBusy reports whether any cache controller has a transaction or a
+// writeback in flight for block id.
+func (s *System) cachesBusy(id int32) bool {
+	for _, n := range s.Nodes {
+		if r := n.Cache.recs.peek(id); r != nil && (r.ms != nil || r.flags&wbPending != 0) {
+			return true
+		}
+	}
+	return false
 }

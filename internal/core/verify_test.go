@@ -20,7 +20,7 @@ func TestVerifyDataCleanRun(t *testing.T) {
 		t.Fatalf("violations on a coherent run: %v", s.DataViolations)
 	}
 	// The version counter advanced once per write.
-	if got := s.verSeq[memsys.BlockOf(a)][0]; got != 2 {
+	if got := s.verSeq.at(s.blockID(memsys.BlockOf(a)))[0]; got != 2 {
 		t.Fatalf("version counter = %d, want 2", got)
 	}
 }
@@ -30,12 +30,13 @@ func TestVerifyDetectsRegression(t *testing.T) {
 	// protocol, is under test here.
 	_, s := testSystem(t, func(p *Params) { p.VerifyData = true })
 	c := s.Nodes[0].Cache
-	c.observe(7, 3, 5)
-	c.observe(7, 3, 5) // same version: fine
+	id := s.blockID(7)
+	c.observeVersion(id, 3, 5)
+	c.observeVersion(id, 3, 5) // same version: fine
 	if len(s.DataViolations) != 0 {
 		t.Fatalf("spurious violation: %v", s.DataViolations)
 	}
-	c.observe(7, 3, 4) // backward: must flag
+	c.observeVersion(id, 3, 4) // backward: must flag
 	if len(s.DataViolations) != 1 || !strings.Contains(s.DataViolations[0], "block 7 word 3") {
 		t.Fatalf("violations = %v", s.DataViolations)
 	}
@@ -44,9 +45,10 @@ func TestVerifyDetectsRegression(t *testing.T) {
 func TestVerifyViolationListBounded(t *testing.T) {
 	_, s := testSystem(t, func(p *Params) { p.VerifyData = true })
 	c := s.Nodes[0].Cache
-	c.observe(1, 0, 100)
+	id := s.blockID(1)
+	c.observeVersion(id, 0, 100)
 	for i := 0; i < 50; i++ {
-		c.observe(1, 0, 1)
+		c.observeVersion(id, 0, 1)
 	}
 	if len(s.DataViolations) > 16 {
 		t.Fatalf("violation list unbounded: %d", len(s.DataViolations))
@@ -68,7 +70,7 @@ func TestVerifyMigratoryHandoffCarriesData(t *testing.T) {
 	if len(s.DataViolations) != 0 {
 		t.Fatalf("violations in migratory chain: %v", s.DataViolations)
 	}
-	if got := s.verSeq[memsys.BlockOf(a)][0]; got != 6 {
+	if got := s.verSeq.at(s.blockID(memsys.BlockOf(a)))[0]; got != 6 {
 		t.Fatalf("version counter = %d, want 6", got)
 	}
 }
@@ -89,8 +91,8 @@ func TestVerifyWritebackCarriesData(t *testing.T) {
 		t.Fatalf("violations across writeback: %v", s.DataViolations)
 	}
 	l := lineOf(s, 2, a)
-	if l == nil || l.Data[0] != 1 {
-		t.Fatalf("reader's data = %+v, want word 0 version 1", l)
+	if l == nil || dataOf(s, 2, a)[0] != 1 {
+		t.Fatalf("reader's line %+v data %v, want word 0 version 1", l, dataOf(s, 2, a))
 	}
 }
 
@@ -107,7 +109,7 @@ func TestVerifyCWUpdatesCarryData(t *testing.T) {
 		c.Write(a, nil, nil)
 		eng.Run()
 		for _, e := range c.WriteCache().DrainAll() {
-			c.flushWC(e, nil)
+			c.flushWC(e)
 		}
 		eng.Run()
 		// The sharer reads after every update; versions must increase.
@@ -116,20 +118,30 @@ func TestVerifyCWUpdatesCarryData(t *testing.T) {
 	if len(s.DataViolations) != 0 {
 		t.Fatalf("violations under competitive update: %v", s.DataViolations)
 	}
-	if l := lineOf(s, 2, a); l == nil || l.Data[0] != 3 {
-		t.Fatalf("sharer data = %+v, want word 0 version 3", l)
+	if l := lineOf(s, 2, a); l == nil || dataOf(s, 2, a)[0] != 3 {
+		t.Fatalf("sharer line %+v data %v, want word 0 version 3", l, dataOf(s, 2, a))
 	}
 }
 
 func TestVerifyOffByDefaultCostsNothing(t *testing.T) {
 	eng, s := testSystem(t, nil)
-	if s.verSeq != nil {
-		t.Fatal("version state allocated without VerifyData")
-	}
 	a := blockHomedAt(s, 1)
 	write(t, eng, s, 0, a)
 	read(t, eng, s, 2, a)
 	if len(s.DataViolations) != 0 {
 		t.Fatal("violations recorded with verification off")
 	}
+	if s.verify || len(s.verSeq.chunks) != 0 {
+		t.Fatal("version state allocated without VerifyData")
+	}
+	for _, n := range s.Nodes {
+		if len(n.Cache.ver.chunks) != 0 {
+			t.Fatalf("node %d keeps word versions without VerifyData", n.ID)
+		}
+	}
+}
+
+// dataOf returns the word versions of node n's SLC line for address a.
+func dataOf(s *System, n int, a memsys.Addr) memsys.BlockData {
+	return s.Nodes[n].Cache.lineData(s.blockID(memsys.BlockOf(a)))
 }

@@ -94,10 +94,19 @@ type Processor struct {
 	// a no-op sink).
 	Tele *telemetry.Collector
 
-	// stepFn is the step method value, bound once at construction: every
-	// operation schedules it, and rebinding per call would allocate a
-	// closure per simulated instruction.
-	stepFn func()
+	// stepFn and the completion callbacks below are method values bound
+	// once at construction: every operation schedules or hands out one of
+	// them, and binding per call would allocate a closure per simulated
+	// instruction. The processor blocks on one operation at a time, so the
+	// callbacks find that operation's start time in opStart.
+	stepFn        func()
+	readDone      func()
+	writeDone     func()
+	writeAccepted func()
+	acquireDone   func()
+	releaseDone   func()
+	barrierDone   func()
+	opStart       sim.Time
 
 	done     bool
 	doneTime sim.Time
@@ -125,6 +134,12 @@ func New(eng *sim.Engine, mem Memory, stream Stream, cfg Config) *Processor {
 		flcFill:   cfg.FLCFill,
 	}
 	p.stepFn = p.step
+	p.readDone = p.onReadDone
+	p.writeDone = p.onWriteDone
+	p.writeAccepted = p.onWriteAccepted
+	p.acquireDone = p.onAcquireDone
+	p.releaseDone = p.onReleaseDone
+	p.barrierDone = p.onBarrierDone
 	return p
 }
 
@@ -175,19 +190,8 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Reads++
 		}
-		start := p.eng.Now()
-		hit := p.mem.Read(op.Addr, func() {
-			// Data reached the FLC; the fill completes before the load
-			// retires. Everything beyond the 1-pclock access is read stall.
-			elapsed := p.eng.Now() - start + p.flcFill
-			p.busy(p.flcAccess)
-			if p.statsOn {
-				p.Stats.ReadStall += int64(elapsed - p.flcAccess)
-			}
-			p.stall("read", start)
-			p.eng.After(p.flcFill, p.stepFn)
-		})
-		if hit {
+		p.opStart = p.eng.Now()
+		if p.mem.Read(op.Addr, p.readDone) {
 			p.busy(p.flcAccess)
 			p.eng.After(p.flcAccess, p.stepFn)
 		}
@@ -196,30 +200,13 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Writes++
 		}
-		start := p.eng.Now()
+		p.opStart = p.eng.Now()
 		if p.sc {
 			// Sequential consistency: stall until globally performed.
-			p.mem.Write(op.Addr, nil, func() {
-				elapsed := p.eng.Now() - start
-				p.busy(p.flcAccess)
-				if p.statsOn {
-					p.Stats.WriteStall += int64(elapsed)
-				}
-				p.stall("write", start)
-				p.eng.After(p.flcAccess, p.stepFn)
-			})
+			p.mem.Write(op.Addr, nil, p.writeDone)
 			return
 		}
-		accepted := p.mem.Write(op.Addr, func() {
-			// Buffered at last; the wait was write stall.
-			if p.statsOn {
-				p.Stats.WriteStall += int64(p.eng.Now() - start)
-			}
-			p.stall("write", start)
-			p.busy(p.flcAccess)
-			p.eng.After(p.flcAccess, p.stepFn)
-		}, nil)
-		if accepted {
+		if p.mem.Write(op.Addr, p.writeAccepted, nil) {
 			p.busy(p.flcAccess)
 			p.eng.After(p.flcAccess, p.stepFn)
 		}
@@ -228,28 +215,15 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Acquires++
 		}
-		start := p.eng.Now()
-		p.mem.Acquire(op.Addr, func() {
-			if p.statsOn {
-				p.Stats.AcquireStall += int64(p.eng.Now() - start)
-			}
-			p.stall("acquire", start)
-			p.eng.After(0, p.stepFn)
-		})
+		p.opStart = p.eng.Now()
+		p.mem.Acquire(op.Addr, p.acquireDone)
 
 	case OpRelease:
 		if p.statsOn {
 			p.Stats.Releases++
 		}
-		start := p.eng.Now()
-		proceed := p.mem.Release(op.Addr, func() {
-			if p.statsOn {
-				p.Stats.ReleaseStall += int64(p.eng.Now() - start)
-			}
-			p.stall("release", start)
-			p.eng.After(0, p.stepFn)
-		})
-		if proceed {
+		p.opStart = p.eng.Now()
+		if p.mem.Release(op.Addr, p.releaseDone) {
 			p.busy(p.flcAccess)
 			p.eng.After(p.flcAccess, p.stepFn)
 		}
@@ -258,14 +232,8 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Barriers++
 		}
-		start := p.eng.Now()
-		p.mem.Barrier(op.Bar, func() {
-			if p.statsOn {
-				p.Stats.BarrierStall += int64(p.eng.Now() - start)
-			}
-			p.stall("barrier", start)
-			p.eng.After(0, p.stepFn)
-		})
+		p.opStart = p.eng.Now()
+		p.mem.Barrier(op.Bar, p.barrierDone)
 
 	case OpStatsOn:
 		if p.StatsOnHook != nil {
@@ -273,4 +241,64 @@ func (p *Processor) step() {
 		}
 		p.eng.After(0, p.stepFn)
 	}
+}
+
+// onReadDone runs when a missing load's data reaches the FLC; the fill
+// completes before the load retires. Everything beyond the 1-pclock access
+// is read stall.
+func (p *Processor) onReadDone() {
+	elapsed := p.eng.Now() - p.opStart + p.flcFill
+	p.busy(p.flcAccess)
+	if p.statsOn {
+		p.Stats.ReadStall += int64(elapsed - p.flcAccess)
+	}
+	p.stall("read", p.opStart)
+	p.eng.After(p.flcFill, p.stepFn)
+}
+
+// onWriteDone runs when a sequentially consistent store is globally
+// performed.
+func (p *Processor) onWriteDone() {
+	elapsed := p.eng.Now() - p.opStart
+	p.busy(p.flcAccess)
+	if p.statsOn {
+		p.Stats.WriteStall += int64(elapsed)
+	}
+	p.stall("write", p.opStart)
+	p.eng.After(p.flcAccess, p.stepFn)
+}
+
+// onWriteAccepted runs when a store that found the write buffer full is
+// buffered at last; the wait was write stall.
+func (p *Processor) onWriteAccepted() {
+	if p.statsOn {
+		p.Stats.WriteStall += int64(p.eng.Now() - p.opStart)
+	}
+	p.stall("write", p.opStart)
+	p.busy(p.flcAccess)
+	p.eng.After(p.flcAccess, p.stepFn)
+}
+
+func (p *Processor) onAcquireDone() {
+	if p.statsOn {
+		p.Stats.AcquireStall += int64(p.eng.Now() - p.opStart)
+	}
+	p.stall("acquire", p.opStart)
+	p.eng.After(0, p.stepFn)
+}
+
+func (p *Processor) onReleaseDone() {
+	if p.statsOn {
+		p.Stats.ReleaseStall += int64(p.eng.Now() - p.opStart)
+	}
+	p.stall("release", p.opStart)
+	p.eng.After(0, p.stepFn)
+}
+
+func (p *Processor) onBarrierDone() {
+	if p.statsOn {
+		p.Stats.BarrierStall += int64(p.eng.Now() - p.opStart)
+	}
+	p.stall("barrier", p.opStart)
+	p.eng.After(0, p.stepFn)
 }

@@ -1,34 +1,22 @@
 package stats
 
-import "ccsim/internal/memsys"
-
-// blockHist is the per-(processor, block) history needed to classify the
-// next miss to that block.
-type blockHist uint8
+// Classifier implements the standard cold / coherence / replacement miss
+// taxonomy for one (processor, block) pair: it is the one history byte the
+// cache keeps per block. The cache calls Fill, Evict and Invalidate as the
+// block's line comes and goes, and Classify on each demand read miss. The
+// zero value is a block never cached.
+type Classifier uint8
 
 const (
-	neverCached blockHist = iota
+	neverCached Classifier = iota
 	cached
 	evicted     // left the cache by replacement
 	invalidated // left the cache by a coherence action
 )
 
-// Classifier implements the standard cold / coherence / replacement miss
-// taxonomy. One Classifier serves one processor's SLC; the cache calls
-// Fill, Evict and Invalidate as lines come and go, and Classify on each
-// demand read miss.
-type Classifier struct {
-	hist map[memsys.Block]blockHist
-}
-
-// NewClassifier returns an empty classifier.
-func NewClassifier() *Classifier {
-	return &Classifier{hist: make(map[memsys.Block]blockHist)}
-}
-
-// Classify returns the kind of a demand miss to block b.
-func (c *Classifier) Classify(b memsys.Block) MissKind {
-	switch c.hist[b] {
+// Classify returns the kind of a demand miss to the block.
+func (c Classifier) Classify() MissKind {
+	switch c {
 	case neverCached:
 		return Cold
 	case invalidated:
@@ -40,23 +28,23 @@ func (c *Classifier) Classify(b memsys.Block) MissKind {
 	}
 }
 
-// Fill records that block b is now cached.
-func (c *Classifier) Fill(b memsys.Block) { c.hist[b] = cached }
+// Fill records that the block is now cached.
+func (c *Classifier) Fill() { *c = cached }
 
-// Evict records that block b was replaced to make room.
-func (c *Classifier) Evict(b memsys.Block) {
-	if c.hist[b] == cached {
-		c.hist[b] = evicted
+// Evict records that the block was replaced to make room.
+func (c *Classifier) Evict() {
+	if *c == cached {
+		*c = evicted
 	}
 }
 
-// Invalidate records that block b was removed by a coherence action
+// Invalidate records that the block was removed by a coherence action
 // (invalidation message, update-counter expiry, or migratory transfer).
-func (c *Classifier) Invalidate(b memsys.Block) {
-	if c.hist[b] == cached {
-		c.hist[b] = invalidated
+func (c *Classifier) Invalidate() {
+	if *c == cached {
+		*c = invalidated
 	}
 }
 
-// Seen reports whether block b has ever been cached by this processor.
-func (c *Classifier) Seen(b memsys.Block) bool { return c.hist[b] != neverCached }
+// Seen reports whether the block has ever been cached by this processor.
+func (c Classifier) Seen() bool { return c != neverCached }

@@ -3,8 +3,6 @@ package stats
 import (
 	"testing"
 	"testing/quick"
-
-	"ccsim/internal/memsys"
 )
 
 func TestProcTotal(t *testing.T) {
@@ -49,49 +47,49 @@ func TestTraffic(t *testing.T) {
 }
 
 func TestClassifierColdFirstMiss(t *testing.T) {
-	c := NewClassifier()
-	if got := c.Classify(7); got != Cold {
+	var c Classifier
+	if got := c.Classify(); got != Cold {
 		t.Fatalf("first miss classified %v, want cold", got)
 	}
-	if c.Seen(7) {
+	if c.Seen() {
 		t.Fatal("Seen before any fill")
 	}
 }
 
 func TestClassifierCoherence(t *testing.T) {
-	c := NewClassifier()
-	c.Fill(3)
-	c.Invalidate(3)
-	if got := c.Classify(3); got != Coherence {
+	var c Classifier
+	c.Fill()
+	c.Invalidate()
+	if got := c.Classify(); got != Coherence {
 		t.Fatalf("miss after invalidation classified %v, want coherence", got)
 	}
 }
 
 func TestClassifierReplacement(t *testing.T) {
-	c := NewClassifier()
-	c.Fill(3)
-	c.Evict(3)
-	if got := c.Classify(3); got != Replacement {
+	var c Classifier
+	c.Fill()
+	c.Evict()
+	if got := c.Classify(); got != Replacement {
 		t.Fatalf("miss after eviction classified %v, want replacement", got)
 	}
 }
 
 func TestClassifierRefillResets(t *testing.T) {
-	c := NewClassifier()
-	c.Fill(3)
-	c.Invalidate(3)
-	c.Fill(3) // brought back
-	c.Evict(3)
-	if got := c.Classify(3); got != Replacement {
+	var c Classifier
+	c.Fill()
+	c.Invalidate()
+	c.Fill() // brought back
+	c.Evict()
+	if got := c.Classify(); got != Replacement {
 		t.Fatalf("invalidate->fill->evict classified %v, want replacement", got)
 	}
 }
 
 func TestClassifierEvictWithoutFillIgnored(t *testing.T) {
-	c := NewClassifier()
-	c.Evict(9)      // spurious
-	c.Invalidate(9) // spurious
-	if got := c.Classify(9); got != Cold {
+	var c Classifier
+	c.Evict()      // spurious
+	c.Invalidate() // spurious
+	if got := c.Classify(); got != Cold {
 		t.Fatalf("never-filled block classified %v, want cold", got)
 	}
 }
@@ -100,20 +98,19 @@ func TestClassifierEvictWithoutFillIgnored(t *testing.T) {
 // for any sequence of events.
 func TestClassifierNeverColdAfterFillProperty(t *testing.T) {
 	f := func(events []uint8) bool {
-		c := NewClassifier()
-		b := memsys.Block(1)
-		c.Fill(b)
+		var c Classifier
+		c.Fill()
 		for _, e := range events {
 			switch e % 3 {
 			case 0:
-				c.Fill(b)
+				c.Fill()
 			case 1:
-				c.Evict(b)
+				c.Evict()
 			case 2:
-				c.Invalidate(b)
+				c.Invalidate()
 			}
 		}
-		return c.Classify(b) != Cold && c.Seen(b)
+		return c.Classify() != Cold && c.Seen()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -124,23 +121,22 @@ func TestClassifierNeverColdAfterFillProperty(t *testing.T) {
 // classification.
 func TestClassifierLastDepartureWinsProperty(t *testing.T) {
 	f := func(n uint8, lastIsInv bool) bool {
-		c := NewClassifier()
-		b := memsys.Block(2)
+		var c Classifier
 		for i := 0; i < int(n%8)+1; i++ {
-			c.Fill(b)
+			c.Fill()
 			if i%2 == 0 {
-				c.Evict(b)
+				c.Evict()
 			} else {
-				c.Invalidate(b)
+				c.Invalidate()
 			}
 		}
-		c.Fill(b)
+		c.Fill()
 		if lastIsInv {
-			c.Invalidate(b)
-			return c.Classify(b) == Coherence
+			c.Invalidate()
+			return c.Classify() == Coherence
 		}
-		c.Evict(b)
-		return c.Classify(b) == Replacement
+		c.Evict()
+		return c.Classify() == Replacement
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -76,6 +76,9 @@ func (b *Barrier) Arrive(p int) (release []int, done bool) {
 			panic("syncprim: processor arrived twice at barrier")
 		}
 	}
+	if b.arrived == nil {
+		b.arrived = make([]int, 0, b.n) // one allocation per episode
+	}
 	b.arrived = append(b.arrived, p)
 	if len(b.arrived) < b.n {
 		return nil, false

@@ -31,23 +31,54 @@ func lockAddr(i int) memsys.Addr {
 	return lockBase + memsys.Addr(i)*memsys.BlockSize
 }
 
-// script builds one processor's operation stream.
+// scriptChunk is the number of ops in one script chunk (16 KB).
+const scriptChunk = 512
+
+// script builds one processor's operation stream. Ops go into fixed-size
+// chunks rather than one growing slice: appending to a large slice
+// reallocates and copies it at every growth step, which cost several times
+// the final stream size in allocation for the big kernels.
 type script struct {
-	ops []proc.Op
+	chunks [][]proc.Op
 }
 
-func (s *script) statsOn()            { s.ops = append(s.ops, proc.Op{Kind: proc.OpStatsOn}) }
-func (s *script) read(a memsys.Addr)  { s.ops = append(s.ops, proc.Op{Kind: proc.OpRead, Addr: a}) }
-func (s *script) write(a memsys.Addr) { s.ops = append(s.ops, proc.Op{Kind: proc.OpWrite, Addr: a}) }
-func (s *script) busy(c int64)        { s.ops = append(s.ops, proc.Op{Kind: proc.OpBusy, Cycles: c}) }
-func (s *script) acquire(l int) {
-	s.ops = append(s.ops, proc.Op{Kind: proc.OpAcquire, Addr: lockAddr(l)})
+func (s *script) add(op proc.Op) {
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1]) == scriptChunk {
+		s.chunks = append(s.chunks, make([]proc.Op, 0, scriptChunk))
+		n++
+	}
+	s.chunks[n-1] = append(s.chunks[n-1], op)
 }
-func (s *script) release(l int) {
-	s.ops = append(s.ops, proc.Op{Kind: proc.OpRelease, Addr: lockAddr(l)})
+
+func (s *script) statsOn()            { s.add(proc.Op{Kind: proc.OpStatsOn}) }
+func (s *script) read(a memsys.Addr)  { s.add(proc.Op{Kind: proc.OpRead, Addr: a}) }
+func (s *script) write(a memsys.Addr) { s.add(proc.Op{Kind: proc.OpWrite, Addr: a}) }
+func (s *script) busy(c int64)        { s.add(proc.Op{Kind: proc.OpBusy, Cycles: c}) }
+func (s *script) acquire(l int)       { s.add(proc.Op{Kind: proc.OpAcquire, Addr: lockAddr(l)}) }
+func (s *script) release(l int)       { s.add(proc.Op{Kind: proc.OpRelease, Addr: lockAddr(l)}) }
+func (s *script) barrier(id int)      { s.add(proc.Op{Kind: proc.OpBarrier, Bar: id}) }
+func (s *script) stream() proc.Stream { return &chunkStream{chunks: s.chunks} }
+
+// chunkStream replays a script's chunks in order.
+type chunkStream struct {
+	chunks [][]proc.Op
+	i      int // position in chunks[0]
 }
-func (s *script) barrier(id int)      { s.ops = append(s.ops, proc.Op{Kind: proc.OpBarrier, Bar: id}) }
-func (s *script) stream() proc.Stream { return proc.NewSliceStream(s.ops...) }
+
+// Next implements proc.Stream.
+func (s *chunkStream) Next() (proc.Op, bool) {
+	for len(s.chunks) > 0 {
+		if c := s.chunks[0]; s.i < len(c) {
+			op := c[s.i]
+			s.i++
+			return op, true
+		}
+		s.chunks[0] = nil // a replayed chunk is garbage
+		s.chunks, s.i = s.chunks[1:], 0
+	}
+	return proc.Op{}, false
+}
 
 // readBlock touches n words of the block at a (spatial locality within a
 // block appears as FLC hits after the first touch).

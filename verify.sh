@@ -131,9 +131,9 @@ fetch() {
     fi
 }
 # No -q: the listening address arrives as an Info-level stderr record.
-# Scale 0.25 keeps the sweep alive for several seconds so the scrapes
-# below genuinely land mid-sweep.
-/tmp/experiments-verify -exp table2 -scale 0.25 -procs 8 \
+# Scale 1 keeps the sweep alive for more than a second (on a 2-vCPU VM)
+# so the scrapes below genuinely land mid-sweep.
+/tmp/experiments-verify -exp table2 -scale 1 -procs 8 \
     -listen 127.0.0.1:0 -pprof > /dev/null 2> /tmp/ccsim-ops-log.txt &
 OPS_PID=$!
 ADDR=""
