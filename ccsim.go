@@ -180,12 +180,6 @@ type Config struct {
 	// tracks appear in the timeline export. Leave nil for zero overhead;
 	// use a fresh NewSharingAnalytics per run.
 	Sharing *SharingAnalytics
-
-	// SelfProfile, when non-nil, attaches the engine self-profiler: sampled
-	// wall-clock attribution per event callback, exported with
-	// SelfProfiler.WriteJSON in cmd/benchjson-compatible form. One profiler
-	// may be shared across runs to aggregate. Leave nil for zero overhead.
-	SelfProfile *SelfProfiler
 }
 
 // Checker is the live coherence checker attached via Config.Check; create
@@ -199,13 +193,6 @@ func NewChecker() *Checker { return check.New() }
 // zero value is ready to use. Fire it with Cancel.Cancel() from any
 // goroutine.
 type Cancel = sim.Cancel
-
-// SelfProfiler is the engine self-profiler attached via Config.SelfProfile;
-// create one with NewSelfProfiler. See internal/sim for the sampling model.
-type SelfProfiler = sim.SelfProfiler
-
-// NewSelfProfiler returns an empty engine self-profiler.
-func NewSelfProfiler() *SelfProfiler { return sim.NewSelfProfiler() }
 
 // DefaultConfig returns the paper's baseline: 16 processors, BASIC protocol
 // under release consistency, uniform network, infinite SLC.
@@ -261,7 +248,6 @@ func (c Config) machineConfig() machine.Config {
 		Cancel:           c.Cancel,
 		Check:            c.Check,
 		Sharing:          c.Sharing,
-		SelfProf:         c.SelfProfile,
 	}
 	if c.FaultInject != "" {
 		ident := c.Workload + "/" + c.ProtocolName()

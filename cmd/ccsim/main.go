@@ -112,7 +112,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "print the full result as JSON instead of the text report")
 	timeline := flag.String("timeline", "", "write a Perfetto/Chrome trace-event timeline to this file")
 	sharingOut := flag.String("sharing", "", "attach the sharing-pattern analyzer and write its per-class report to this file (\"-\" = stderr); also lands in -json output")
-	selfprofile := flag.String("selfprofile", "", "attach the engine self-profiler and write benchjson-compatible JSON to this file (\"-\" = stderr)")
 	maxEvents := flag.Uint64("max-events", 0, "abort after this many simulation events (0 = unlimited)")
 	deadline := flag.Int64("deadline", 0, "abort past this simulated time in pclocks (0 = unlimited)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -171,9 +170,6 @@ func run() int {
 	}
 	if *sharingOut != "" {
 		cfg.Sharing = ccsim.NewSharingAnalytics()
-	}
-	if *selfprofile != "" {
-		cfg.SelfProfile = ccsim.NewSelfProfiler()
 	}
 
 	if *traceOut != "" {
@@ -321,19 +317,13 @@ func run() int {
 		}
 	}
 
-	// The sharing report and self-profile go to their own files (or
-	// stderr), never stdout: a run with analytics on stays byte-identical
-	// on stdout to one without.
+	// The sharing report goes to its own file (or stderr), never stdout: a
+	// run with analytics on stays byte-identical on stdout to one without.
 	if *sharingOut != "" {
 		if !writeSide(logger, "sharing report", *sharingOut, func(w io.Writer) error {
 			cfg.Sharing.Report().Fprint(w)
 			return nil
 		}) {
-			return 1
-		}
-	}
-	if *selfprofile != "" {
-		if !writeSide(logger, "self-profile", *selfprofile, cfg.SelfProfile.WriteJSON) {
 			return 1
 		}
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments -exp all            # everything (minutes at scale 1.0)
+//	experiments -exp all            # everything (~35 s on a 2-vCPU VM at scale 1.0)
 //	experiments -exp fig2           # Figure 2: relative exec times under RC
 //	experiments -exp table2         # Table 2: cold/coherence miss rates
 //	experiments -exp fig3           # Figure 3: sequential consistency
@@ -25,13 +25,6 @@
 //	experiments -max-events 5000000000  # watchdog: bound every run's events
 //	experiments -inject-fault mp3d/P+CW  # crash one run, prove containment
 //	experiments -sharing ...        # sharing-pattern analytics per run, sweep aggregate at exit
-//	experiments -selfprofile sp.json  # engine self-profile aggregated across the sweep
-//	experiments -cache-dir cache/   # durable result store: crash, re-run, resume
-//	experiments -resume=false ...   # refresh the store, ignoring existing entries
-//	experiments -retries 2          # re-run transiently-faulted runs up to 2 extra times
-//	experiments -retry-backoff 5s   # sleep before the first retry, doubling per attempt
-//	experiments -listen :8099 -serve-jobs  # coordinator: job API + worker wire protocol
-//	experiments -worker http://host:8099   # worker: pull jobs from a coordinator
 //
 // All experiments of one invocation share a scheduler: a configuration
 // named by several experiments (every figure's BASIC baseline, Table 2's
@@ -48,22 +41,11 @@
 // prints normally; the fault diagnostics go to stderr and the exit status
 // is non-zero.
 //
-// Sweeps can also be distributed: -serve-jobs (with -listen) promotes the
-// ops server into a coordinator serving a job-submission API (POST/GET
-// /jobs) and a worker wire protocol, and -worker URL turns the same binary
-// into a stateless worker that leases jobs over HTTP, simulates them
-// locally, heartbeats, and delivers results back. Leases that stop
-// heartbeating expire and re-queue, so killing a worker mid-job loses no
-// runs, and the distributed sweep's stdout and -metrics output stay
-// byte-identical to a single-process run.
-//
-// Sweeps are also crash-safe and interruptible: -cache-dir persists every
-// completed run's Result to an atomic, checksummed on-disk store, so a
-// sweep killed at any instant resumes by re-running the same command —
-// completed runs load from disk, only missing ones simulate, stdout stays
-// byte-identical. SIGINT/SIGTERM drain gracefully (queued runs abandon,
-// in-flight runs abort cleanly, finished results are kept) and exit 130
-// with a resume hint; a second signal exits immediately.
+// Every run is a deterministic function of its configuration, so a sweep
+// that stops early is finished by re-running the same command.
+// SIGINT/SIGTERM drain gracefully (queued runs abandon, in-flight runs
+// abort cleanly at their next event batch) and exit 130; a second signal
+// exits immediately.
 package main
 
 import (
@@ -83,7 +65,6 @@ import (
 	"ccsim/exp"
 	"ccsim/internal/ops"
 	"ccsim/internal/prof"
-	"ccsim/internal/store"
 )
 
 func main() { os.Exit(run()) }
@@ -120,17 +101,6 @@ func run() int {
 	maxEvents := flag.Uint64("max-events", 0, "abort any single run after this many events (0 = unlimited)")
 	deadline := flag.Int64("deadline", 0, "abort any single run past this simulated time in pclocks (0 = unlimited)")
 	sharing := flag.Bool("sharing", false, "attach the sharing-pattern analyzer to every run; the sweep-wide aggregate prints to stderr at the end and serves live at /sharing (disables run dedup)")
-	selfprofile := flag.String("selfprofile", "", "attach one engine self-profiler across every run and write benchjson-compatible JSON to this file (disables run dedup)")
-	cacheDir := flag.String("cache-dir", "", "persist every completed run's result into this durable store; an interrupted sweep resumes by re-running with the same directory")
-	resume := flag.Bool("resume", true, "with -cache-dir, serve runs from existing store entries; -resume=false refreshes every entry")
-	retries := flag.Int("retries", 0, "re-run a transiently-faulted run (watchdog aborts, not panics) up to this many extra times")
-	retryBackoff := flag.Duration("retry-backoff", 0, "sleep this long before the first retry, doubling each attempt")
-	serveJobs := flag.Bool("serve-jobs", false, "with -listen, serve the job-submission API and worker wire protocol (POST /jobs, /worker/*): the sweep's runs become leasable by -worker processes")
-	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "with -serve-jobs, how long a worker lease survives without a heartbeat before its job re-queues")
-	workerURL := flag.String("worker", "", "run as a stateless worker pulling jobs from this coordinator URL (e.g. http://host:8099) instead of sweeping; exits when the coordinator goes away")
-	workerPoll := flag.Duration("worker-poll", 250*time.Millisecond, "with -worker, how long to sleep between lease polls when the queue is empty")
-	workerHold := flag.Duration("worker-hold", 0, "with -worker, sit on each lease this long before simulating (test hook for lease-expiry harnesses)")
-	workerName := flag.String("worker-name", "", "with -worker, the identity reported to the coordinator (default host-pid)")
 	flag.Parse()
 
 	logger := newLogger(*logJSON, *quiet)
@@ -142,36 +112,10 @@ func run() int {
 	}
 	defer stop()
 
-	if *workerURL != "" {
-		name := *workerName
-		if name == "" {
-			name = defaultWorkerName()
-		}
-		return runWorker(logger, *workerURL, name, *workerPoll, *workerHold, *retries, *retryBackoff)
-	}
-	if *serveJobs && *listen == "" {
-		logger.Error("-serve-jobs requires -listen: workers need an address to pull from")
-		return 2
-	}
-
 	sched := exp.NewScheduler(*jobs, *metrics)
-	sched.SetLogger(logger)
-	if *cacheDir != "" {
-		st, err := store.Open(*cacheDir)
-		if err != nil {
-			logger.Error("result store failed to open", "dir", *cacheDir, "err", err)
-			return 1
-		}
-		sched.UseStore(st, *resume)
-		logger.Info("result store open", "dir", st.Root(), "resume", *resume)
-	}
-	if *retries > 0 {
-		sched.SetRetryPolicy(exp.RetryPolicy{MaxAttempts: *retries + 1, Backoff: *retryBackoff})
-	}
 	// Graceful shutdown: the first SIGINT/SIGTERM drains the sweep (queued
-	// runs abandon, in-flight runs abort at their next event batch, results
-	// already completed — and their store entries — are kept); a second
-	// signal exits immediately.
+	// runs abandon, in-flight runs abort at their next event batch); a
+	// second signal exits immediately.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
@@ -189,12 +133,6 @@ func run() int {
 	if *listen != "" {
 		srv := ops.NewServer(sched)
 		endpoints := "/metrics /status /sharing /dashboard"
-		if *serveJobs {
-			q := exp.NewJobQueue(sched, exp.JobQueueOptions{LeaseTTL: *leaseTTL})
-			defer q.Close()
-			srv.SetJobs(q)
-			endpoints += " /jobs /worker/*"
-		}
 		if *pprofOn {
 			srv.EnablePprof()
 			endpoints += " /debug/pprof/"
@@ -211,11 +149,8 @@ func run() int {
 		InjectFault: *injectFault, MaxEvents: *maxEvents, Deadline: *deadline,
 		Check: *liveCheck, Sharing: *sharing,
 	}
-	if *selfprofile != "" {
-		o.SelfProfile = ccsim.NewSelfProfiler()
-	}
-	// finish emits the end-of-sweep observability artifacts on every exit
-	// path: the sharing aggregate to stderr, the self-profile to its file.
+	// finish emits the end-of-sweep artifacts on every exit path: the
+	// sharing aggregate and the interruption summary, both to stderr.
 	finish := func(code int) int {
 		if *sharing {
 			if rep := sched.SharingReport(); rep != nil {
@@ -223,29 +158,11 @@ func run() int {
 				rep.Fprint(os.Stderr)
 			}
 		}
-		if *selfprofile != "" {
-			f, err := os.Create(*selfprofile)
-			if err == nil {
-				err = o.SelfProfile.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				logger.Error("self-profile export failed", "err", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
 		if sched.Interrupted() {
-			hint := "re-run with -cache-dir DIR to make interrupted sweeps resumable"
-			if *cacheDir != "" {
-				hint = "re-run the same command to resume; completed runs load from " + *cacheDir
-			}
 			st := sched.Stats()
 			logger.Warn("sweep interrupted before completion",
-				"completed", st.Completed, "abandoned", st.Interrupted, "resume", hint)
+				"completed", st.Completed, "abandoned", st.Interrupted,
+				"resume", "re-run the same command")
 			code = 130
 		}
 		return code

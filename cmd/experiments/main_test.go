@@ -56,25 +56,3 @@ func TestProfileFlagsRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestServeJobsRequiresListen: a coordinator with no address is a usage
-// error, caught before any simulation starts.
-func TestServeJobsRequiresListen(t *testing.T) {
-	code, _ := runCLI(t, "experiments", "-exp", "table1", "-q", "-serve-jobs")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2 (usage error)", code)
-	}
-}
-
-// TestWorkerUnreachableCoordinatorExitsNonzero: a worker that never
-// reaches its coordinator gives up with a failure exit instead of polling
-// forever.
-func TestWorkerUnreachableCoordinatorExitsNonzero(t *testing.T) {
-	// Port 1 is never listening; 1ms polls make the bounded retry loop
-	// (~40 attempts) fail fast.
-	code, _ := runCLI(t, "experiments", "-q",
-		"-worker", "http://127.0.0.1:1", "-worker-poll", "1ms")
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1 (coordinator unreachable)", code)
-	}
-}

@@ -1,10 +1,7 @@
 package exp
 
 import (
-	"bytes"
-	"log/slog"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,9 +26,9 @@ func (c *tickClock) Now() time.Time {
 
 // TestSchedulerLifecycleStats runs a stubbed sweep under an injected clock
 // and checks the per-phase histograms: every executed run contributes one
-// queue_wait and one simulate sample, store_put stays empty without a
-// store, and the engine queue-internals aggregate sums the per-run
-// snapshots.
+// queue_wait and one simulate sample, metrics_write stays empty without a
+// metrics directory, and the engine queue-internals aggregate sums the
+// per-run snapshots.
 func TestSchedulerLifecycleStats(t *testing.T) {
 	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
 		r := &ccsim.Result{Workload: cfg.Workload, Protocol: cfg.ProtocolName(), ExecTime: 1}
@@ -77,10 +74,8 @@ func TestSchedulerLifecycleStats(t *testing.T) {
 			t.Errorf("%s has zero durations under the ticking clock: %+v", phase, d)
 		}
 	}
-	for _, phase := range []string{"retry_wait", "store_put", "metrics_write"} {
-		if d := byPhase[phase]; d.Count != 0 {
-			t.Errorf("%s count = %d, want 0 (no retries, store or metrics dir)", phase, d.Count)
-		}
+	if d := byPhase["metrics_write"]; d.Count != 0 {
+		t.Errorf("metrics_write count = %d, want 0 (no metrics dir)", d.Count)
 	}
 	if st.Engine == nil {
 		t.Fatal("Engine aggregate nil after completed runs")
@@ -94,102 +89,6 @@ func TestSchedulerLifecycleStats(t *testing.T) {
 	}
 	if st.Engine.CohortSizeLog2[1] != 40*runs {
 		t.Errorf("Engine histogram bucket 1 = %d, want %d", st.Engine.CohortSizeLog2[1], 40*runs)
-	}
-}
-
-// TestRetryBackoffPhaseAccounting pins the retry-phase bugfix with the
-// injected clock: a run that fails transiently twice before succeeding
-// must contribute one simulate sample PER ATTEMPT — each of exactly one
-// clock step, proving backoff sleep is not folded in — and one retry_wait
-// sample per backoff sleep. Before the fix, exec timed the whole
-// runWithRetry call as a single simulate sample, so the simulate histogram
-// inflated with deliberate sleep time.
-func TestRetryBackoffPhaseAccounting(t *testing.T) {
-	calls := 0
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		calls++
-		if calls <= 2 {
-			return nil, &ccsim.SimFault{Kind: ccsim.FaultMaxEvents}
-		}
-		return &ccsim.Result{Workload: cfg.Workload, Protocol: cfg.ProtocolName(), ExecTime: 1}, nil
-	})
-	s := NewScheduler(1, "")
-	clk := &tickClock{now: time.Unix(0, 0), step: time.Millisecond}
-	s.SetClock(clk.Now)
-	// A real (tiny) backoff: the tick clock advances one step per read, so
-	// however long the sleep really lasts, each observed phase is exactly
-	// one step and the assertion is deterministic.
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond})
-	cfg := tiny().config("mp3d")
-	cfg.Procs = 4
-	if _, err := s.Submit(cfg).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	byPhase := map[string]DurationStats{}
-	for _, d := range s.Stats().Lifecycle {
-		byPhase[d.Phase] = d
-	}
-	step := time.Millisecond.Seconds()
-	sim := byPhase["simulate"]
-	if sim.Count != 3 {
-		t.Fatalf("simulate count = %d, want 3 (one sample per attempt)", sim.Count)
-	}
-	if sim.MaxSeconds != step {
-		t.Errorf("simulate max = %gs, want exactly one clock step (%gs): backoff leaked into the simulate phase",
-			sim.MaxSeconds, step)
-	}
-	rw := byPhase["retry_wait"]
-	if rw.Count != 2 {
-		t.Fatalf("retry_wait count = %d, want 2 (one per backoff sleep)", rw.Count)
-	}
-	if rw.MaxSeconds != step || rw.SumSeconds != 2*step {
-		t.Errorf("retry_wait = %+v, want two one-step samples", rw)
-	}
-}
-
-// TestInterruptDuringRetryBackoffClassifiedCanceled pins the second retry
-// bugfix: a run interrupted while sleeping between retry attempts must
-// resolve as a canceled SimFault and count as interrupted — not surface
-// the previous attempt's stale transient fault as if the run had
-// legitimately failed with it.
-func TestInterruptDuringRetryBackoffClassifiedCanceled(t *testing.T) {
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		return nil, &ccsim.SimFault{Kind: ccsim.FaultDeadline}
-	})
-	s := NewScheduler(1, "")
-	// A backoff far longer than the test: the run parks in the retry sleep
-	// until Interrupt fires.
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Hour})
-	cfg := tiny().config("mp3d")
-	cfg.Procs = 4
-	p := s.Submit(cfg)
-	// Wait until the first attempt failed and the run entered backoff.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Retries == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("run never reached its first retry")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Interrupt()
-	_, err := p.Wait()
-	f, ok := ccsim.AsFault(err)
-	if !ok || f.Kind != ccsim.FaultCanceled {
-		t.Fatalf("err = %v, want a canceled SimFault, not the stale transient fault", err)
-	}
-	if !strings.Contains(f.Message, ccsim.FaultDeadline) {
-		t.Errorf("canceled fault does not name the last transient fault: %q", f.Message)
-	}
-	st := s.Stats()
-	if st.Interrupted != 1 {
-		t.Errorf("Interrupted = %d, want 1 (mid-retry cancellation counts)", st.Interrupted)
-	}
-	failed := s.Failed()
-	if len(failed) != 1 {
-		t.Fatalf("ledger = %+v, want the one canceled run", failed)
-	}
-	if lf, ok := ccsim.AsFault(failed[0].Err); !ok || lf.Kind != ccsim.FaultCanceled {
-		t.Errorf("ledger entry = %v, want kind canceled", failed[0].Err)
 	}
 }
 
@@ -213,35 +112,5 @@ func TestRunID(t *testing.T) {
 	other.Procs = 8
 	if got := RunID(other); got == id {
 		t.Errorf("RunID identical for distinct configurations: %q", got)
-	}
-}
-
-// TestSchedulerRetryLogsRunID checks the satellite's logging contract: a
-// retried run emits a warn record carrying the run_id field.
-func TestSchedulerRetryLogsRunID(t *testing.T) {
-	calls := 0
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		calls++
-		if calls == 1 {
-			return nil, &ccsim.SimFault{Kind: ccsim.FaultMaxEvents}
-		}
-		return &ccsim.Result{Workload: cfg.Workload, Protocol: cfg.ProtocolName()}, nil
-	})
-	var buf bytes.Buffer
-	s := NewScheduler(1, "")
-	s.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
-	cfg := tiny().config("mp3d")
-	cfg.Procs = 4
-	if _, err := s.Submit(cfg).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	want := RunID(cfg)
-	log := buf.String()
-	if !strings.Contains(log, "run_id="+want) {
-		t.Fatalf("retry log missing run_id=%s:\n%s", want, log)
-	}
-	if !strings.Contains(log, "retrying run") {
-		t.Fatalf("retry log missing message:\n%s", log)
 	}
 }

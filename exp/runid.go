@@ -9,9 +9,9 @@ import (
 
 // RunID derives the stable cross-cutting identifier for one run:
 // workload/protocol/fingerprint-prefix, e.g. "mp3d/CW/1a2b3c4d". Every
-// operational surface — scheduler retry and store-quarantine log records,
-// the fault ledger, /status, and the dashboard — tags the same run with
-// the same id, so logs and the dashboard cross-reference directly.
+// operational surface — the fault ledger and its log records, /status, and
+// the dashboard — tags the same run with the same id, so logs and the
+// dashboard cross-reference directly.
 //
 // The identity is the configuration's canonical fingerprint, computed with
 // side channels stripped: attaching a probe, checker, or trace writer
@@ -24,7 +24,6 @@ func RunID(cfg ccsim.Config) string {
 	bare.Progress = nil
 	bare.Check = nil
 	bare.Sharing = nil
-	bare.SelfProfile = nil
 	bare.Cancel = nil
 	key, _ := Fingerprint(bare)
 	sum := sha256.Sum256([]byte(key))

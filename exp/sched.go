@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -13,12 +11,11 @@ import (
 
 	"ccsim"
 	"ccsim/internal/stats"
-	"ccsim/internal/store"
 )
 
 // ErrInterrupted marks a run abandoned before execution because the sweep
-// was interrupted (Scheduler.Interrupt): no worker ever picked it up. A
-// resumed sweep re-submits and runs it normally.
+// was interrupted (Scheduler.Interrupt): no worker ever picked it up.
+// Re-running the sweep runs it normally.
 var ErrInterrupted = errors.New("sweep interrupted before this run started")
 
 // runSim executes one simulation. A package variable so tests can
@@ -45,22 +42,6 @@ type Scheduler struct {
 	// slots bounds the number of simulations running at once.
 	slots chan struct{}
 
-	// resStore, when non-nil, is the durable read-through/write-behind
-	// result cache (UseStore): completed cacheable runs persist there and
-	// later invocations resume by skipping its hits. storeRead gates the
-	// read side (`-resume=false` refreshes entries without reading them).
-	resStore  *store.Store
-	storeRead bool
-
-	// retry bounds re-execution of transiently-faulted runs (SetRetryPolicy).
-	retry RetryPolicy
-
-	// queue, when non-nil, is the distributed job queue (NewJobQueue):
-	// cacheable submissions are offered to it so remote workers can lease
-	// and execute them, with exec falling back to the local slot pool when
-	// no worker claims a job first.
-	queue *JobQueue
-
 	// stop closes on Interrupt: queued runs abandon instead of starting,
 	// and cancel — attached to every executing run — aborts in-flight
 	// simulations cleanly at their next event batch.
@@ -76,7 +57,6 @@ type Scheduler struct {
 	dedupHits   uint64
 	queued      int
 	completed   uint64
-	retries     uint64
 	interrupted uint64
 	nextID      uint64
 	live        map[uint64]LiveRun
@@ -98,24 +78,17 @@ type Scheduler struct {
 	// guarded by mu.
 	phases [numPhases]stats.Hist
 
-	// engine aggregates completed runs' Result.Queue snapshots (simulated
-	// runs only — store hits carry another sweep's numbers); engineRuns
+	// engine aggregates completed runs' Result.Queue snapshots; engineRuns
 	// counts contributions. Guarded by mu.
 	engine     ccsim.QueueStats
 	engineRuns uint64
-
-	// logger, when non-nil, receives retry and store-quarantine records
-	// tagged with the run's run_id (SetLogger). Nil stays silent.
-	logger *slog.Logger
 }
 
 // Lifecycle phase indexes into Scheduler.phases; phaseNames names them in
 // Stats() snapshots and Prometheus labels.
 const (
 	phaseQueueWait    = iota // Submit to worker-slot acquisition
-	phaseSimulate            // one simulation attempt (each retry is its own sample)
-	phaseRetryWait           // backoff sleeps between retry attempts
-	phaseStorePut            // persisting the Result to the durable store
+	phaseSimulate            // the simulation itself
 	phaseMetricsWrite        // writing the per-run metrics JSON file
 	numPhases
 )
@@ -123,14 +96,12 @@ const (
 var phaseNames = [numPhases]string{
 	phaseQueueWait:    "queue_wait",
 	phaseSimulate:     "simulate",
-	phaseRetryWait:    "retry_wait",
-	phaseStorePut:     "store_put",
 	phaseMetricsWrite: "metrics_write",
 }
 
-// DurationStats is one phase's (or store op's) duration distribution as
-// Stats() snapshots it, in seconds — the shape the ops plane exports as
-// ccsim_sched_duration_seconds / ccsim_store_duration_seconds.
+// DurationStats is one phase's duration distribution as Stats() snapshots
+// it, in seconds — the shape the ops plane exports as
+// ccsim_sched_duration_seconds.
 type DurationStats struct {
 	Phase      string  `json:"phase"`
 	Count      uint64  `json:"count"`
@@ -158,50 +129,17 @@ type SchedStats struct {
 	DroppedSpans uint64
 
 	// Lifecycle decomposes completed runs' wall-clock into the scheduler's
-	// five phases (queue_wait, simulate, retry_wait, store_put,
-	// metrics_write), one entry per phase in that fixed order. Each
-	// simulation attempt is one simulate sample; retry backoff sleeps land
-	// in retry_wait, never in simulate.
+	// three phases (queue_wait, simulate, metrics_write), one entry per
+	// phase in that fixed order.
 	Lifecycle []DurationStats
 
 	// Engine aggregates the event engine's queue-internals counters over
-	// every run this sweep actually simulated (store hits excluded — their
-	// snapshots describe the sweep that produced them). Nil until the first
-	// simulated run completes.
+	// every run this sweep simulated. Nil until the first run completes.
 	Engine *ccsim.QueueStats
 
-	// Retries counts re-executions of transiently-faulted runs under the
-	// retry policy (each retry is one increment; the final outcome lands in
-	// Completed or Failed as usual).
-	Retries uint64
-
-	// Interrupted counts runs abandoned by graceful shutdown: runs that
-	// never started (they sit in the Failed ledger with ErrInterrupted)
-	// plus runs cut off mid-retry, which land there with a canceled
-	// SimFault instead of their stale transient fault.
+	// Interrupted counts runs abandoned by graceful shutdown before they
+	// started; they sit in the Failed ledger with ErrInterrupted.
 	Interrupted uint64
-
-	// Store snapshots the durable result cache's counters, nil when the
-	// scheduler runs without one (no -cache-dir).
-	Store *StoreStats
-
-	// Jobs snapshots the distributed job queue's counters and worker
-	// registry, nil when the scheduler runs without one (no -serve-jobs).
-	Jobs *JobStats
-}
-
-// StoreStats is the durable result store's state as the ops plane exports
-// it (/status, ccsim_store_* on /metrics).
-type StoreStats struct {
-	Dir         string
-	Hits        uint64 // runs served from disk without simulating
-	Misses      uint64 // lookups that fell through to a real run
-	Writes      uint64 // results persisted
-	Quarantined uint64 // corrupt/truncated entries moved aside and re-run
-
-	// Ops holds the store's per-operation latency distributions (read,
-	// validate, write), in that fixed order.
-	Ops []DurationStats
 }
 
 // LiveRun describes one currently-executing simulation. Progress is the
@@ -256,12 +194,6 @@ func NewScheduler(jobs int, metricsDir string) *Scheduler {
 // Call before submitting; tests use it for deterministic durations.
 func (s *Scheduler) SetClock(now func() time.Time) { s.clock = now }
 
-// SetLogger installs the logger for the scheduler's operational records —
-// retries and store quarantines, each tagged with the run's run_id so logs
-// and the dashboard cross-reference the same identifier. Call before
-// submitting; nil (the default) disables the records.
-func (s *Scheduler) SetLogger(l *slog.Logger) { s.logger = l }
-
 // observe records one lifecycle phase duration.
 func (s *Scheduler) observe(phase int, d time.Duration) {
 	s.mu.Lock()
@@ -270,8 +202,7 @@ func (s *Scheduler) observe(phase int, d time.Duration) {
 }
 
 // durationStats renders one histogram of microsecond samples as a
-// DurationStats in seconds. Callers hold s.mu (or the store's latMu
-// equivalent) as needed.
+// DurationStats in seconds. Callers hold s.mu.
 func durationStats(name string, h *stats.Hist) DurationStats {
 	return DurationStats{
 		Phase:      name,
@@ -284,40 +215,12 @@ func durationStats(name string, h *stats.Hist) DurationStats {
 	}
 }
 
-// RetryPolicy bounds re-execution of transiently-faulted runs: a run whose
-// error is a watchdog SimFault (max-events, deadline, deadlock, livelock —
-// the kinds that can be load- or environment-dependent) is retried up to
-// MaxAttempts total executions, sleeping Backoff before the first retry
-// and doubling it each time. Terminal faults — contained panics, checker
-// invariant violations, cancellations — never retry; they land in the
-// Failed ledger immediately.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts per run; <= 1 disables retry
-	Backoff     time.Duration // sleep before the first retry, doubled per attempt
-}
-
-// SetRetryPolicy installs the scheduler's retry policy. Call before
-// submitting; the zero policy (the default) runs everything exactly once.
-func (s *Scheduler) SetRetryPolicy(rp RetryPolicy) { s.retry = rp }
-
-// UseStore attaches a durable result store: every completed cacheable run
-// persists its Result there (write-behind), and — when readBack is true —
-// submissions whose key already has a valid entry are served from disk
-// without simulating (read-through), which is how an interrupted sweep
-// resumes. readBack=false refreshes every entry while ignoring existing
-// ones. Call before submitting.
-func (s *Scheduler) UseStore(st *store.Store, readBack bool) {
-	s.resStore = st
-	s.storeRead = readBack
-}
-
 // Interrupt begins graceful shutdown: runs still waiting for a worker slot
-// abandon with ErrInterrupted instead of starting, and every in-flight
-// simulation is cancelled cooperatively (it aborts at its next event batch
-// with a canceled SimFault). Results completed before the interrupt —
-// including their durable-store entries — are untouched, so a re-run
-// against the same store resumes where this sweep stopped. Idempotent and
-// safe from any goroutine (it is meant for signal handlers).
+// — and runs submitted afterwards — abandon with ErrInterrupted instead of
+// starting, and every in-flight simulation is cancelled cooperatively (it
+// aborts at its next event batch with a canceled SimFault). Results
+// completed before the interrupt are untouched. Idempotent and safe from
+// any goroutine (it is meant for signal handlers).
 func (s *Scheduler) Interrupt() {
 	s.stopOnce.Do(func() {
 		s.cancel.Cancel()
@@ -335,22 +238,6 @@ func (s *Scheduler) Interrupted() bool {
 	}
 }
 
-// Retryable reports whether err is a transient fault under the retry
-// policy: a watchdog SimFault (event ceiling, deadline, deadlock,
-// livelock). Panics, invariant violations, cancellations and
-// non-simulation errors are terminal.
-func Retryable(err error) bool {
-	f, ok := ccsim.AsFault(err)
-	if !ok {
-		return false
-	}
-	switch f.Kind {
-	case ccsim.FaultMaxEvents, ccsim.FaultDeadline, ccsim.FaultDeadlock, ccsim.FaultLivelock:
-		return true
-	}
-	return false
-}
-
 // Stats snapshots the scheduler's counters.
 func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
@@ -363,7 +250,6 @@ func (s *Scheduler) Stats() SchedStats {
 		Completed:    s.completed,
 		Failed:       uint64(len(s.failed)),
 		DroppedSpans: s.droppedSpans,
-		Retries:      s.retries,
 		Interrupted:  s.interrupted,
 	}
 	st.Lifecycle = make([]DurationStats, numPhases)
@@ -375,27 +261,6 @@ func (s *Scheduler) Stats() SchedStats {
 		st.Engine = &eng
 	}
 	s.mu.Unlock()
-	if s.queue != nil {
-		js := s.queue.Stats()
-		st.Jobs = &js
-	}
-	if s.resStore != nil {
-		ss := s.resStore.Stats()
-		st.Store = &StoreStats{
-			Dir:         s.resStore.Root(),
-			Hits:        ss.Hits,
-			Misses:      ss.Misses,
-			Writes:      ss.Writes,
-			Quarantined: ss.Quarantined,
-		}
-		for _, l := range s.resStore.Latencies() {
-			st.Store.Ops = append(st.Store.Ops, DurationStats{
-				Phase: l.Op, Count: l.Count, SumSeconds: l.SumSeconds,
-				P50Seconds: l.P50Seconds, P95Seconds: l.P95Seconds,
-				P99Seconds: l.P99Seconds, MaxSeconds: l.MaxSeconds,
-			})
-		}
-	}
 	return st
 }
 
@@ -443,37 +308,20 @@ func (s *Scheduler) Submit(cfg ccsim.Config) *Pending {
 	key, cacheable := Fingerprint(cfg)
 	p := &Pending{done: make(chan struct{})}
 	submittedAt := s.clock()
-	if !cacheable {
-		s.mu.Lock()
-		s.submitted++
-		s.queued++
-		s.mu.Unlock()
-		// Uncacheable runs carry side channels that cannot cross the wire;
-		// they always execute locally and are never offered to the queue.
-		go s.exec(p, cfg, key, false, submittedAt, nil)
-		return p
-	}
 	s.mu.Lock()
 	s.submitted++
-	if prev, ok := s.runs[key]; ok {
-		s.dedupHits++
-		s.mu.Unlock()
-		return prev
+	if cacheable {
+		if prev, ok := s.runs[key]; ok {
+			s.dedupHits++
+			s.mu.Unlock()
+			return prev
+		}
+		s.runs[key] = p
+		s.unique++
 	}
-	s.runs[key] = p
-	s.unique++
 	s.queued++
-	var j *job
-	if s.queue != nil {
-		// Offer the run to the distributed queue. Runs already present in
-		// the durable store stay unleasable: they resolve from disk in a
-		// stat + read, so shipping them to a worker would only re-simulate
-		// what resume already has.
-		leasable := !(s.resStore != nil && s.storeRead && s.resStore.Contains(key))
-		j = s.queue.offer(p, cfg, key, submittedAt, leasable)
-	}
 	s.mu.Unlock()
-	go s.exec(p, cfg, key, true, submittedAt, j)
+	go s.exec(p, cfg, submittedAt)
 	return p
 }
 
@@ -486,96 +334,22 @@ func (s *Scheduler) Failed() []FailedRun {
 	return append([]FailedRun(nil), s.failed...)
 }
 
-func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable bool, submittedAt time.Time, j *job) {
-	// abandonQueued records one run interrupted while it waited: never ran,
-	// and under graceful shutdown never will. The error routes through the
-	// Failed ledger so cmd/experiments can count abandoned runs and print
-	// the resume hint; a resumed sweep re-runs them from scratch (or from
-	// the store, for the ones that did complete). With a job queue attached
-	// the queue state arbitrates against a racing remote delivery: if the
-	// job is already done, the delivery's accounting wins and exec only
-	// waits it out.
-	abandonQueued := func() {
-		if j != nil && !s.queue.abandon(j) {
-			<-p.done
+func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, submittedAt time.Time) {
+	select {
+	case s.slots <- struct{}{}:
+		// select picks at random when a slot and stop are both ready, so a
+		// run may win a slot after Interrupt; it must abandon all the same.
+		if s.Interrupted() {
+			<-s.slots
+			s.abandon(p, cfg)
 			return
 		}
-		p.err = ErrInterrupted
-		s.mu.Lock()
-		s.queued--
-		s.interrupted++
-		s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
-		s.mu.Unlock()
-		close(p.done)
-	}
-	for {
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.stop:
-			abandonQueued()
-			return
-		case <-p.done:
-			// A remote worker delivered this run's result while we waited
-			// for a local slot; deliverRemote did all the accounting.
-			return
-		}
-		if j == nil {
-			break
-		}
-		verdict, wake := s.queue.claimLocal(j)
-		if verdict == claimOK {
-			break
-		}
-		<-s.slots // the run is remote: release the local slot
-		if verdict == claimDone {
-			<-p.done
-			return
-		}
-		// Leased by a worker: wait for its delivery, its lease expiring
-		// (the job re-queues and we loop to claim it), or shutdown.
-		select {
-		case <-p.done:
-			return
-		case <-wake:
-			continue
-		case <-s.stop:
-			abandonQueued()
-			return
-		}
+	case <-s.stop:
+		s.abandon(p, cfg)
+		return
 	}
 	defer func() { <-s.slots }()
-	if j != nil {
-		defer s.queue.finishLocal(j)
-	}
 	s.observe(phaseQueueWait, s.clock().Sub(submittedAt))
-	// Read-through: a valid store entry for this exact key — same schema,
-	// same canonical configuration — serves the run without simulating.
-	// That is the whole resume path: an interrupted sweep's completed runs
-	// hit here, only the missing ones execute. Metrics files are still
-	// written so a resumed `-metrics` sweep produces the full directory.
-	if s.resStore != nil && s.storeRead && cacheable {
-		if res, ok := s.storeGet(key, cfg); ok {
-			p.res = res
-			if s.metricsDir != "" {
-				t0 := s.clock()
-				werr := writeMetrics(s.metricsDir, cfg, res)
-				s.observe(phaseMetricsWrite, s.clock().Sub(t0))
-				if werr != nil {
-					p.err = fmt.Errorf("metrics: %w", werr)
-				}
-			}
-			s.mu.Lock()
-			s.queued--
-			if p.err != nil {
-				s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
-			} else {
-				s.completed++
-			}
-			s.mu.Unlock()
-			close(p.done)
-			return
-		}
-	}
 	// Register in the live table once a worker slot is held: the run is
 	// about to execute, so its probe starts advancing. A caller-supplied
 	// probe is reused (the submitter is watching); otherwise the scheduler
@@ -634,25 +408,13 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		}
 		s.mu.Unlock()
 	}()
-	p.res, p.err = s.runWithRetry(cfg)
-	if p.err == nil && s.resStore != nil && cacheable {
-		// Write-behind: persist before the metrics write so a crash between
-		// the two still resumes (the store is the source of truth; metrics
-		// files regenerate from it on the resumed run).
-		t1 := s.clock()
-		serr := s.storePut(key, p.res)
-		s.observe(phaseStorePut, s.clock().Sub(t1))
-		if serr != nil {
-			// The simulation itself succeeded: keep the Result for
-			// in-process waiters and surface the persistence failure as this
-			// run's error, same contract as a metrics-write failure.
-			p.err = fmt.Errorf("store: %w", serr)
-		}
-	}
+	t0 := s.clock()
+	p.res, p.err = runSim(cfg)
+	s.observe(phaseSimulate, s.clock().Sub(t0))
 	if p.err == nil && s.metricsDir != "" {
-		t2 := s.clock()
+		t1 := s.clock()
 		werr := writeMetrics(s.metricsDir, cfg, p.res)
-		s.observe(phaseMetricsWrite, s.clock().Sub(t2))
+		s.observe(phaseMetricsWrite, s.clock().Sub(t1))
 		if werr != nil {
 			// The simulation itself succeeded: keep the Result for
 			// in-process waiters and report the metrics failure as this
@@ -662,154 +424,17 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 	}
 }
 
-// runWithRetry executes one simulation under the retry policy: transient
-// watchdog faults re-run with doubling backoff up to the attempt cap;
-// terminal faults, success, or an interrupted sweep return immediately.
-// Each attempt contributes its own simulate lifecycle sample and backoff
-// sleeps land in retry_wait, so the simulate histogram never inflates with
-// time spent deliberately asleep.
-func (s *Scheduler) runWithRetry(cfg ccsim.Config) (*ccsim.Result, error) {
-	attempts := s.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := s.retry.Backoff
-	for attempt := 1; ; attempt++ {
-		t0 := s.clock()
-		res, err := runSim(cfg)
-		s.observe(phaseSimulate, s.clock().Sub(t0))
-		if err == nil || attempt >= attempts || !Retryable(err) {
-			return res, err
-		}
-		if s.Interrupted() {
-			// The run would retry, but the sweep is shutting down: its last
-			// transient fault is stale state of an abandoned retry loop, not
-			// this run's outcome. Classify it as canceled so the ledger, the
-			// shutdown condensation and the interrupted counter all agree.
-			return nil, s.retryInterrupted(err)
-		}
-		s.mu.Lock()
-		s.retries++
-		s.mu.Unlock()
-		if s.logger != nil {
-			kind := ""
-			if f, ok := ccsim.AsFault(err); ok {
-				kind = f.Kind
-			}
-			s.logger.Warn("transient fault; retrying run",
-				"run_id", RunID(cfg), "attempt", attempt, "max_attempts", attempts,
-				"kind", kind, "backoff", backoff.String())
-		}
-		if backoff > 0 {
-			t1 := s.clock()
-			interrupted := false
-			select {
-			case <-time.After(backoff):
-			case <-s.stop:
-				interrupted = true
-			}
-			s.observe(phaseRetryWait, s.clock().Sub(t1))
-			if interrupted {
-				return nil, s.retryInterrupted(err)
-			}
-			backoff *= 2
-		}
-	}
-}
-
-// retryInterrupted classifies a retry loop cut off by graceful shutdown:
-// the stale transient fault of the last attempt is replaced by a canceled
-// SimFault naming it, and the run counts as interrupted.
-func (s *Scheduler) retryInterrupted(last error) error {
-	kind := "unknown"
-	if f, ok := ccsim.AsFault(last); ok {
-		kind = f.Kind
-	}
-	s.mu.Lock()
-	s.interrupted++
-	s.mu.Unlock()
-	return &ccsim.SimFault{
-		Kind: ccsim.FaultCanceled,
-		Message: fmt.Sprintf(
-			"sweep interrupted during retry backoff (last transient fault: %s)", kind),
-	}
-}
-
-// deliverRemote completes one job from a worker's delivered result: the
-// same write-behind store put, metrics write and completion accounting the
-// local path performs, so a distributed sweep's store, metrics directory
-// and stdout are byte-identical to a single-process run. The caller (the
-// job queue) has already transitioned the job to done under its own lock,
-// so exactly one deliverRemote runs per job and exec's claim loop can only
-// observe the job as finished.
-func (s *Scheduler) deliverRemote(j *job, res *ccsim.Result, err error, elapsed time.Duration) {
-	p := j.p
-	p.res, p.err = res, err
-	s.observe(phaseSimulate, elapsed)
-	if p.err == nil && s.resStore != nil {
-		t0 := s.clock()
-		serr := s.storePut(j.key, p.res)
-		s.observe(phaseStorePut, s.clock().Sub(t0))
-		if serr != nil {
-			p.err = fmt.Errorf("store: %w", serr)
-		}
-	}
-	if p.err == nil && s.metricsDir != "" {
-		t1 := s.clock()
-		werr := writeMetrics(s.metricsDir, j.cfg, p.res)
-		s.observe(phaseMetricsWrite, s.clock().Sub(t1))
-		if werr != nil {
-			p.err = fmt.Errorf("metrics: %w", werr)
-		}
-	}
+// abandon resolves one run interrupted before it started: it never ran,
+// and under graceful shutdown never will. The error routes through the
+// Failed ledger so cmd/experiments can count abandoned runs.
+func (s *Scheduler) abandon(p *Pending, cfg ccsim.Config) {
+	p.err = ErrInterrupted
 	s.mu.Lock()
 	s.queued--
-	if p.err != nil {
-		s.failed = append(s.failed, FailedRun{Cfg: j.cfg, Err: p.err})
-	} else {
-		s.completed++
-		if p.res != nil {
-			s.droppedSpans += p.res.DroppedSpans
-			s.engine.Merge(p.res.Queue)
-			s.engineRuns++
-		}
-	}
+	s.interrupted++
+	s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
 	s.mu.Unlock()
 	close(p.done)
-}
-
-// storeGet resolves key through the durable store: a valid entry decodes
-// into the Result a fresh run would have produced. An entry whose bytes
-// verify but whose payload no longer deserializes is dropped (quarantined)
-// and treated as a miss — belt and braces under the schema tag.
-func (s *Scheduler) storeGet(key string, cfg ccsim.Config) (*ccsim.Result, bool) {
-	b, ok, quarantined := s.resStore.GetEntry(key)
-	if quarantined && s.logger != nil {
-		s.logger.Warn("corrupt store entry quarantined; re-running",
-			"run_id", RunID(cfg), "store", s.resStore.Root())
-	}
-	if !ok {
-		return nil, false
-	}
-	var r ccsim.Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		s.resStore.Drop(key)
-		if s.logger != nil {
-			s.logger.Warn("undecodable store entry dropped; re-running",
-				"run_id", RunID(cfg), "err", err.Error())
-		}
-		return nil, false
-	}
-	return &r, true
-}
-
-// storePut persists one completed run's Result under its cache key.
-func (s *Scheduler) storePut(key string, r *ccsim.Result) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return s.resStore.Put(key, b)
 }
 
 // Wait blocks until the run completes and returns its result. The Result
@@ -831,18 +456,11 @@ func (p *Pending) Cell() *ccsim.Result {
 
 // Fingerprint canonicalizes cfg into the scheduler's cache key. The second
 // return is false when the configuration cannot be cached (it carries a
-// trace, telemetry, progress, cancel, live-checker, sharing-analytics or
-// self-profiler side channel, so running it has observable effects beyond
-// the Result).
-//
-// The key is prefixed with ResultSchemaVersion(), so durable-store entries
-// written by a build with a different Result JSON shape land in different
-// slots and read as misses — stale on-disk results from older builds can
-// never deserialize into the wrong struct.
+// trace, telemetry, progress, cancel, live-checker or sharing-analytics
+// side channel, so running it has observable effects beyond the Result).
 func Fingerprint(cfg ccsim.Config) (string, bool) {
 	if cfg.TraceWriter != nil || cfg.Telemetry != nil || cfg.Progress != nil ||
-		cfg.Check != nil || cfg.Sharing != nil || cfg.SelfProfile != nil ||
-		cfg.Cancel != nil {
+		cfg.Check != nil || cfg.Sharing != nil || cfg.Cancel != nil {
 		return "", false
 	}
 	scale := cfg.Scale
@@ -850,8 +468,7 @@ func Fingerprint(cfg ccsim.Config) (string, bool) {
 		scale = 1.0 // Run applies the same default
 	}
 	e := cfg.Extensions
-	return fmt.Sprintf("v%s|%s|x%g|p%d|P%t|M%t|CW%t|SC%t|net%d|link%d|slc%d|ways%d|flwb%d|slwb%d|pfk%d|cwt%d|wcb%d|nack%t|dir%d|vd%t|me%d|dl%d|np%d|inj%s",
-		ResultSchemaVersion(),
+	return fmt.Sprintf("%s|x%g|p%d|P%t|M%t|CW%t|SC%t|net%d|link%d|slc%d|ways%d|flwb%d|slwb%d|pfk%d|cwt%d|wcb%d|nack%t|dir%d|vd%t|me%d|dl%d|np%d|inj%s",
 		cfg.Workload, scale, cfg.Procs, e.P, e.M, e.CW, cfg.SC,
 		cfg.Net, cfg.LinkBits, cfg.SLCBlocks, cfg.SLCWays,
 		cfg.FLWBEntries, cfg.SLWBEntries,

@@ -55,30 +55,53 @@ func TestFaultInjectMatchesIdentity(t *testing.T) {
 	}
 }
 
+// requireSameFault runs one faulting configuration a second time and
+// requires the identical fault: watchdog faults are a deterministic
+// function of the configuration, which is why a sweep never retries them.
+func requireSameFault(t *testing.T, first *ccsim.SimFault, run func() error) {
+	t.Helper()
+	again, ok := ccsim.AsFault(run())
+	if !ok {
+		t.Fatalf("second run did not fault the same way: first %v", first)
+	}
+	if first.Kind != again.Kind || first.Component != again.Component ||
+		first.Time != again.Time || first.Steps != again.Steps ||
+		first.Message != again.Message {
+		t.Fatalf("fault differs between identical runs:\nfirst  %s/%s t=%d steps=%d %q\nsecond %s/%s t=%d steps=%d %q",
+			first.Kind, first.Component, first.Time, first.Steps, first.Message,
+			again.Kind, again.Component, again.Time, again.Steps, again.Message)
+	}
+}
+
 // TestDeadlockAborts runs the classic ABBA lock cycle: processor 0 takes
 // lock A then wants B, processor 1 takes B then wants A. The watchdog must
 // abort with a deadlock SimFault naming both stuck processors instead of
-// hanging (or running into its event ceiling).
+// hanging (or running into its event ceiling), and identically on a
+// second run.
 func TestDeadlockAborts(t *testing.T) {
 	const lockA, lockB = 0, 4096
 	cfg := ccsim.DefaultConfig()
 	cfg.Procs = 2
 	cfg.MaxEvents = 1_000_000 // backstop: the test must never hang
-	streams := []ccsim.Stream{
-		ccsim.Ops(
-			ccsim.Op{Kind: ccsim.StatsOn},
-			ccsim.Op{Kind: ccsim.Acquire, Addr: lockA},
-			ccsim.Op{Kind: ccsim.Busy, Cycles: 500},
-			ccsim.Op{Kind: ccsim.Acquire, Addr: lockB},
-		),
-		ccsim.Ops(
-			ccsim.Op{Kind: ccsim.StatsOn},
-			ccsim.Op{Kind: ccsim.Acquire, Addr: lockB},
-			ccsim.Op{Kind: ccsim.Busy, Cycles: 500},
-			ccsim.Op{Kind: ccsim.Acquire, Addr: lockA},
-		),
+	run := func() error {
+		streams := []ccsim.Stream{
+			ccsim.Ops(
+				ccsim.Op{Kind: ccsim.StatsOn},
+				ccsim.Op{Kind: ccsim.Acquire, Addr: lockA},
+				ccsim.Op{Kind: ccsim.Busy, Cycles: 500},
+				ccsim.Op{Kind: ccsim.Acquire, Addr: lockB},
+			),
+			ccsim.Ops(
+				ccsim.Op{Kind: ccsim.StatsOn},
+				ccsim.Op{Kind: ccsim.Acquire, Addr: lockB},
+				ccsim.Op{Kind: ccsim.Busy, Cycles: 500},
+				ccsim.Op{Kind: ccsim.Acquire, Addr: lockA},
+			),
+		}
+		_, err := ccsim.RunStreams(cfg, streams)
+		return err
 	}
-	_, err := ccsim.RunStreams(cfg, streams)
+	err := run()
 	if err == nil {
 		t.Fatal("ABBA deadlock completed successfully")
 	}
@@ -89,6 +112,7 @@ func TestDeadlockAborts(t *testing.T) {
 	if f.Kind != ccsim.FaultDeadlock {
 		t.Fatalf("fault kind %q, want %q (err: %v)", f.Kind, ccsim.FaultDeadlock, err)
 	}
+	requireSameFault(t, f, run)
 	for _, agent := range []string{"proc 0", "proc 1"} {
 		if !strings.Contains(f.Message, agent) {
 			t.Errorf("deadlock fault does not name %s: %q", agent, f.Message)
@@ -100,17 +124,20 @@ func TestDeadlockAborts(t *testing.T) {
 }
 
 // TestMaxEventsAborts checks Config.MaxEvents: a ceiling far below the
-// workload's needs must abort with a max-events fault, and the identical
-// configuration without the ceiling must pass — tight-but-sufficient
-// limits never fire (the chaos test runs whole sweeps under them).
+// workload's needs must abort with a max-events fault, identically on a
+// second run, and the identical configuration without the ceiling must
+// pass — tight-but-sufficient limits never fire (the chaos test runs whole
+// sweeps under them).
 func TestMaxEventsAborts(t *testing.T) {
 	cfg := tinyCfg("mp3d")
 	cfg.MaxEvents = 2_000
-	_, err := ccsim.Run(cfg)
+	run := func() error { _, err := ccsim.Run(cfg); return err }
+	err := run()
 	f, ok := ccsim.AsFault(err)
 	if !ok || f.Kind != ccsim.FaultMaxEvents {
 		t.Fatalf("err = %v, want a %s fault", err, ccsim.FaultMaxEvents)
 	}
+	requireSameFault(t, f, run)
 	cfg.MaxEvents = 0
 	if _, err := ccsim.Run(tinyCfg("mp3d")); err != nil {
 		t.Fatalf("clean run failed: %v", err)
@@ -118,13 +145,15 @@ func TestMaxEventsAborts(t *testing.T) {
 }
 
 // TestDeadlineAborts checks Config.Deadline maps to the watchdog's
-// simulated-time ceiling.
+// simulated-time ceiling, with the same fault on a second run.
 func TestDeadlineAborts(t *testing.T) {
 	cfg := tinyCfg("mp3d")
 	cfg.Deadline = 100 // pclocks: far too early
-	_, err := ccsim.Run(cfg)
+	run := func() error { _, err := ccsim.Run(cfg); return err }
+	err := run()
 	f, ok := ccsim.AsFault(err)
 	if !ok || f.Kind != ccsim.FaultDeadline {
 		t.Fatalf("err = %v, want a %s fault", err, ccsim.FaultDeadline)
 	}
+	requireSameFault(t, f, run)
 }

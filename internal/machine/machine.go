@@ -85,11 +85,6 @@ type Config struct {
 	// measured section's access stream. Nil costs one pointer test per hook,
 	// like Check.
 	Sharing *telemetry.Sharing
-
-	// SelfProf, when non-nil, attaches the engine self-profiler (sampled
-	// wall-clock attribution per event callback). May be shared across
-	// concurrent machines.
-	SelfProf *sim.SelfProfiler
 }
 
 // DefaultConfig returns the paper's baseline machine (BASIC, RC, uniform
@@ -242,9 +237,6 @@ func (m *Machine) Run() (*Result, error) {
 	}
 	if m.Cfg.Progress != nil {
 		m.Eng.SetProgress(m.Cfg.Progress)
-	}
-	if m.Cfg.SelfProf != nil {
-		m.Eng.SetSelfProfiler(m.Cfg.SelfProf)
 	}
 	if m.Cfg.Tele != nil {
 		m.Cfg.Tele.StartSampler(m.Eng)

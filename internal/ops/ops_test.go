@@ -2,7 +2,6 @@ package ops
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ccsim"
 	"ccsim/exp"
@@ -96,26 +94,11 @@ func testSource(t *testing.T) *fakeSource {
 		stats: exp.SchedStats{
 			Submitted: 275, Unique: 200, DedupHits: 75,
 			Queued: 10, Running: 2, Completed: 180, Failed: 8,
-			DroppedSpans: 3, Retries: 5, Interrupted: 4,
+			DroppedSpans: 3, Interrupted: 4,
 			Engine: &engine,
 			Lifecycle: []exp.DurationStats{
 				dur("queue_wait", 180), dur("simulate", 185),
-				dur("retry_wait", 5),
-				dur("store_put", 140), dur("metrics_write", 180),
-			},
-			Jobs: &exp.JobStats{
-				Submitted: 200, APISubmitted: 30, Queued: 10, Leased: 2,
-				LocalClaimed: 150, RemoteCompleted: 37, RemoteFailed: 1,
-				LeaseExpired: 2, Rejected: 3,
-				Workers: []exp.WorkerStatus{
-					{Name: "node-a-4711", Leases: 2, Jobs: 38, HeartbeatAgeSeconds: 0.4},
-				},
-			},
-			Store: &exp.StoreStats{
-				Dir: "/tmp/cache", Hits: 60, Misses: 140, Writes: 140, Quarantined: 2,
-				Ops: []exp.DurationStats{
-					dur("read", 60), dur("validate", 60), dur("write", 140),
-				},
+				dur("metrics_write", 180),
 			},
 		},
 		runs: []exp.LiveRun{
@@ -176,12 +159,7 @@ func TestMetricsParses(t *testing.T) {
 		`ccsim_run_events_per_second{run="1"`,
 		`ccsim_run_heartbeat_age_seconds{run="2",workload="ocean",protocol="BASIC-SC"} 0`,
 		"ccsim_dropped_spans_total 3",
-		"ccsim_sched_retries_total 5",
 		"ccsim_sched_interrupted_total 4",
-		"ccsim_store_hits_total 60",
-		"ccsim_store_misses_total 140",
-		"ccsim_store_writes_total 140",
-		"ccsim_store_quarantined_total 2",
 		`ccsim_sharing_blocks{class="migratory"} 4`,
 		`ccsim_sharing_misses_total{class="migratory"} 12`,
 		`ccsim_sharing_reads_total{class="read-only"} 700`,
@@ -201,27 +179,11 @@ func TestMetricsParses(t *testing.T) {
 		`ccsim_engine_cohort_size_events_bucket{le="+Inf"} 9000`,
 		"ccsim_engine_cohort_size_events_sum 40000",
 		"ccsim_engine_cohort_size_events_count 9000",
-		"ccsim_jobs_submitted_total 200",
-		"ccsim_jobs_api_submitted_total 30",
-		"ccsim_jobs_queued 10",
-		"ccsim_jobs_leased 2",
-		"ccsim_jobs_local_claimed_total 150",
-		"ccsim_jobs_remote_completed_total 37",
-		"ccsim_jobs_remote_failed_total 1",
-		"ccsim_jobs_lease_expired_total 2",
-		"ccsim_jobs_rejected_total 3",
-		`ccsim_worker_leases{worker="node-a-4711"} 2`,
-		`ccsim_worker_jobs_total{worker="node-a-4711"} 38`,
-		`ccsim_worker_heartbeat_age_seconds{worker="node-a-4711"} 0.4`,
 		`ccsim_sched_duration_seconds{phase="queue_wait",quantile="0.5"} 0.001`,
 		`ccsim_sched_duration_seconds{phase="simulate",quantile="max"} 0.005`,
-		`ccsim_sched_duration_seconds{phase="retry_wait",quantile="0.95"} 0.003`,
+		`ccsim_sched_duration_seconds{phase="metrics_write",quantile="0.95"} 0.003`,
 		`ccsim_sched_duration_seconds_sum{phase="simulate"} 0.37`,
-		`ccsim_sched_duration_seconds_count{phase="retry_wait"} 5`,
-		`ccsim_sched_duration_seconds_count{phase="store_put"} 140`,
-		`ccsim_store_duration_seconds{op="write",quantile="0.99"} 0.004`,
-		`ccsim_store_duration_seconds_sum{op="read"} 0.12`,
-		`ccsim_store_duration_seconds_count{op="validate"} 60`,
+		`ccsim_sched_duration_seconds_count{phase="metrics_write"} 180`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\nbody:\n%s", want, body)
@@ -274,133 +236,6 @@ func TestMetricsCatalogueInSync(t *testing.T) {
 			t.Errorf("series %s documented in EXPERIMENTS.md but never served by a fully-populated /metrics", name)
 		}
 	}
-}
-
-func post(t *testing.T, h http.Handler, path string, body any) (int, string) {
-	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(string(b))))
-	return rec.Code, rec.Body.String()
-}
-
-// TestJobsAPIEndToEnd drives the whole coordinator surface over HTTP: a
-// config POSTed to /jobs is leased by a (simulated) worker through
-// /worker/lease, kept alive via /worker/heartbeat, delivered through
-// /worker/result, and its Result then shows on GET /jobs/{id} — plus every
-// rejection path: bad JSON, unknown job, schema skew, stale lease.
-func TestJobsAPIEndToEnd(t *testing.T) {
-	sched := exp.NewScheduler(1, "")
-	q := exp.NewJobQueue(sched, exp.JobQueueOptions{LeaseTTL: time.Minute})
-	defer q.Close()
-	srv := NewServer(sched)
-	srv.SetJobs(q)
-	h := srv.Handler()
-
-	// Pin the only slot with an uncacheable run (side channel attached →
-	// never offered to the job queue), so the POSTed job below stays queued
-	// and the lease is deterministic.
-	blocker := ccsim.DefaultConfig()
-	blocker.Workload = "mp3d"
-	blocker.Scale = 0.25
-	blocker.Procs = 8
-	blocker.Progress = &ccsim.Progress{}
-	pa := sched.Submit(blocker)
-	for sched.Stats().Running == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	cfg := ccsim.DefaultConfig()
-	cfg.Workload = "mp3d"
-	cfg.Scale = 0.05
-	cfg.Procs = 4
-	code, body := post(t, h, "/jobs", cfg)
-	if code != 200 {
-		t.Fatalf("POST /jobs status %d: %s", code, body)
-	}
-	var v exp.JobView
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatalf("POST /jobs response not a JobView: %v\n%s", err, body)
-	}
-	if v.State != "queued" || v.Workload != "mp3d" || v.RunID == "" {
-		t.Fatalf("submitted job view = %+v", v)
-	}
-	// A duplicate submission joins the existing job.
-	if _, body2 := post(t, h, "/jobs", cfg); !strings.Contains(body2, v.RunID) {
-		t.Fatalf("duplicate POST /jobs made a new job: %s", body2)
-	}
-	if code, _ := post(t, h, "/jobs", "not a config"); code != 400 {
-		t.Fatalf("POST /jobs with garbage: status %d, want 400", code)
-	}
-	if code, _ := get(t, h, "/jobs/999999"); code != 404 {
-		t.Fatalf("GET /jobs/999999 status %d, want 404", code)
-	}
-	if code, body := get(t, h, "/jobs"); code != 200 || !strings.Contains(body, v.RunID) {
-		t.Fatalf("GET /jobs = %d %s", code, body)
-	}
-
-	// Worker protocol: schema skew is refused before any job moves.
-	if code, _ := post(t, h, "/worker/lease", exp.LeaseRequest{Worker: "w1", Schema: "feedface0000"}); code != 409 {
-		t.Fatalf("skewed lease status %d, want 409", code)
-	}
-	code, body = post(t, h, "/worker/lease", exp.LeaseRequest{Worker: "w1", Schema: exp.ResultSchemaVersion()})
-	if code != 200 {
-		t.Fatalf("lease status %d: %s", code, body)
-	}
-	var wj exp.WireJob
-	if err := json.Unmarshal([]byte(body), &wj); err != nil {
-		t.Fatalf("lease response not a WireJob: %v\n%s", err, body)
-	}
-	if wj.Key != v.Key || wj.Config.Workload != "mp3d" || wj.LeaseTTLSeconds != 60 {
-		t.Fatalf("leased job = %+v, want the POSTed one", wj)
-	}
-	// The queue is now empty: the next lease polls dry.
-	if code, _ := post(t, h, "/worker/lease", exp.LeaseRequest{Worker: "w2", Schema: exp.ResultSchemaVersion()}); code != 204 {
-		t.Fatalf("dry lease status %d, want 204", code)
-	}
-	if code, _ := post(t, h, "/worker/heartbeat", exp.HeartbeatRequest{ID: wj.ID, Lease: wj.Lease, Worker: "w1"}); code != 204 {
-		t.Fatalf("heartbeat status %d, want 204", code)
-	}
-	if code, _ := post(t, h, "/worker/heartbeat", exp.HeartbeatRequest{ID: wj.ID, Lease: "stale", Worker: "w1"}); code != 410 {
-		t.Fatalf("stale heartbeat status %d, want 410", code)
-	}
-
-	res := &ccsim.Result{Workload: "mp3d", Protocol: "BASIC", ExecTime: 42}
-	if code, _ := post(t, h, "/worker/result", exp.WireResult{ID: wj.ID, Lease: wj.Lease, Worker: "w1",
-		Result: res, ElapsedMicros: 2500}); code != 204 {
-		t.Fatalf("result delivery status %d, want 204", code)
-	}
-	if code, _ := post(t, h, "/worker/result", exp.WireResult{ID: wj.ID, Lease: wj.Lease, Worker: "w1",
-		Result: res}); code != 410 {
-		t.Fatalf("double delivery status %d, want 410", code)
-	}
-	code, body = get(t, h, fmt.Sprintf("/jobs/%d", wj.ID))
-	if code != 200 {
-		t.Fatalf("GET /jobs/{id} status %d", code)
-	}
-	var done exp.JobView
-	if err := json.Unmarshal([]byte(body), &done); err != nil {
-		t.Fatal(err)
-	}
-	if done.State != "completed" || done.Result == nil || done.Result.ExecTime != 42 || done.Worker != "w1" {
-		t.Fatalf("delivered job view = %+v", done)
-	}
-
-	// /metrics and the index now carry the coordinator surface.
-	if _, body := get(t, h, "/metrics"); !strings.Contains(body, "ccsim_jobs_remote_completed_total 1") ||
-		!strings.Contains(body, `ccsim_worker_jobs_total{worker="w1"} 1`) {
-		t.Fatalf("coordinator metrics missing:\n%s", body)
-	}
-	if _, body := get(t, h, "/"); !strings.Contains(body, "/jobs") || !strings.Contains(body, "/worker/") {
-		t.Fatalf("index missing coordinator endpoints:\n%s", body)
-	}
-
-	// Shut the blocker down; its cancellation fault is expected.
-	sched.Interrupt()
-	pa.Wait() //nolint:errcheck // canceled by the interrupt above
 }
 
 // TestStatusJSON checks /status decodes and reports the driven probe's

@@ -11,7 +11,7 @@ set -eux
 go build ./...
 go vet ./...
 go test ./...
-go test -race -short ccsim/internal/sim ccsim/internal/telemetry ccsim/internal/fault ccsim/internal/ops ccsim/internal/check ccsim/internal/litmus ccsim/internal/store ccsim/exp
+go test -race -short ccsim/internal/sim ccsim/internal/telemetry ccsim/internal/fault ccsim/internal/ops ccsim/internal/check ccsim/internal/litmus ccsim/exp
 
 # Queue-focused race pass, named directly in CI logs: TestEngine* plus the
 # differential event-order tests cover every calendar-queue path (wheel
@@ -21,13 +21,6 @@ go test -race -count=1 -run 'TestEngine|TestEventOrder' ccsim/internal/sim
 # Ops-handler race pass, named directly in CI logs: live scrapes against a
 # running scheduler plus the dashboard and gated pprof endpoints.
 go test -race -count=1 -run 'TestScrapeDuringSweep|TestDashboardServes|TestPprofGating' ccsim/internal/ops
-
-# Advisory engine-speed trend: print the ns/op delta table (with its
-# geomean summary row) between the two most recent archived baselines.
-# Informational only — benchmark noise must never fail the gate.
-if [ -f BENCH_PR7.json ] && [ -f BENCH_PR9.json ]; then
-    go run ./cmd/benchjson -compare BENCH_PR7.json BENCH_PR9.json || true
-fi
 
 # Watchdog smoke: a generous event ceiling must not disturb a clean run,
 # and a far-too-tight one must abort with a structured fault (non-zero
@@ -46,21 +39,18 @@ fi
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 > /tmp/ccsim-unchecked.txt
 cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 
-# Analytics smoke: sharing-pattern analytics and the engine self-profiler
-# are pure side channels too — a run with both attached (and the checker,
-# the heaviest combination) must pass and leave stdout byte-identical to a
-# plain run, with the reports landing in their side files. The disabled
-# path must stay free: the no-allocs tests pin the nil-hook cost to zero.
+# Analytics smoke: sharing-pattern analytics are a pure side channel too —
+# a run with the analyzer attached (and the checker, the heaviest
+# combination) must pass and leave stdout byte-identical to a plain run,
+# with the report landing in its side file. The disabled path must stay
+# free: the no-allocs test pins the nil-hook cost to zero.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
-    -sharing /tmp/ccsim-sharing.txt -selfprofile /tmp/ccsim-selfprof.json \
-    > /tmp/ccsim-analytics.txt
+    -sharing /tmp/ccsim-sharing.txt > /tmp/ccsim-analytics.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
-test -s /tmp/ccsim-selfprof.json
 go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs' ccsim
-go test -count=1 -run 'TestSelfProfilerDisabledAddsNoAllocs' ccsim/internal/sim
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
-    /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-selfprof.json
+    /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt
 
 # Bounded checked-random-walk litmus pass: seeded micro-programs across the
 # protocol grid under the live checker (the corpus itself runs in
@@ -90,34 +80,6 @@ if /tmp/metricsdiff-verify golden /tmp/ccsim-metrics-perturbed > /dev/null 2>&1;
     exit 1
 fi
 rm -rf /tmp/ccsim-metrics-check /tmp/ccsim-metrics-perturbed
-
-# Crash-resume smoke: a sweep with -cache-dir killed mid-flight must
-# resume by re-running the same command, producing stdout byte-identical
-# to an uninterrupted, uncached sweep; a corrupted store entry must be
-# quarantined and re-executed, never crash the resume.
-rm -rf /tmp/ccsim-store
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q > /tmp/ccsim-resume-ref.txt
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q \
-    -cache-dir /tmp/ccsim-store > /dev/null 2>&1 &
-SWEEP_PID=$!
-sleep 1
-kill -9 "$SWEEP_PID" 2> /dev/null || true
-wait "$SWEEP_PID" 2> /dev/null || true
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q \
-    -cache-dir /tmp/ccsim-store > /tmp/ccsim-resume-out.txt
-cmp /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out.txt
-# The resume committed an entry for every unique run; truncate one (the
-# kill -9 shape) and resume again: quarantined, re-run, still identical.
-for f in /tmp/ccsim-store/*.res; do
-    truncate -s 10 "$f"
-    break
-done
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q \
-    -cache-dir /tmp/ccsim-store > /tmp/ccsim-resume-out2.txt
-cmp /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out2.txt
-ls /tmp/ccsim-store/quarantine/* > /dev/null
-rm -rf /tmp/ccsim-store /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out.txt \
-    /tmp/ccsim-resume-out2.txt
 
 # Live ops-plane smoke: a sweep serving -listen -pprof must answer
 # /dashboard and the gated /debug/pprof/ endpoints, and /metrics must carry
@@ -169,66 +131,4 @@ printf '%s' "$MID" | grep -q ccsim_engine_cohort_size_events_bucket
 wait "$OPS_PID"
 rm -f /tmp/ccsim-ops-log.txt
 
-# Distributed-sweep smoke, part 1: a coordinator (-serve-jobs) plus one
-# worker pulling jobs over HTTP must produce stdout AND -metrics output
-# byte-identical to the same sweep in a single process, and the worker
-# must exit 0 once the coordinator goes away. -jobs 1 keeps the
-# coordinator's own slot busy so the queue genuinely feeds the worker.
-rm -rf /tmp/ccsim-dist-ref-metrics /tmp/ccsim-dist-metrics
-/tmp/experiments-verify -exp fig2 -scale 0.5 -procs 8 -q \
-    -metrics /tmp/ccsim-dist-ref-metrics > /tmp/ccsim-dist-ref.txt
-/tmp/experiments-verify -exp fig2 -scale 0.5 -procs 8 -jobs 1 \
-    -listen 127.0.0.1:0 -serve-jobs -metrics /tmp/ccsim-dist-metrics \
-    > /tmp/ccsim-dist-out.txt 2> /tmp/ccsim-dist-log.txt &
-COORD_PID=$!
-ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    ADDR=$(sed -n 's/.*ops server listening.*addr=\([0-9.]*:[0-9]*\).*/\1/p' /tmp/ccsim-dist-log.txt | head -1)
-    [ -n "$ADDR" ] && break
-    i=$((i + 1))
-    sleep 0.05
-done
-test -n "$ADDR"
-/tmp/experiments-verify -worker "http://$ADDR" -worker-poll 10ms \
-    2> /tmp/ccsim-dist-worker.txt &
-WORKER_PID=$!
-wait "$COORD_PID"
-cmp /tmp/ccsim-dist-ref.txt /tmp/ccsim-dist-out.txt
-/tmp/metricsdiff-verify /tmp/ccsim-dist-ref-metrics /tmp/ccsim-dist-metrics
-# The worker notices the coordinator is gone and exits cleanly (status 0),
-# having delivered at least one job.
-wait "$WORKER_PID"
-grep -q "job completed" /tmp/ccsim-dist-worker.txt
-
-# Distributed-sweep smoke, part 2: kill -9 a worker sitting on a lease.
-# Its heartbeats stop, the lease expires (1s TTL), the job re-queues and
-# the coordinator finishes it locally — same stdout, no lost runs.
-/tmp/experiments-verify -exp fig2 -scale 0.5 -procs 8 -jobs 1 \
-    -listen 127.0.0.1:0 -serve-jobs -lease-ttl 1s \
-    > /tmp/ccsim-dist-out2.txt 2> /tmp/ccsim-dist-log2.txt &
-COORD_PID=$!
-ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    ADDR=$(sed -n 's/.*ops server listening.*addr=\([0-9.]*:[0-9]*\).*/\1/p' /tmp/ccsim-dist-log2.txt | head -1)
-    [ -n "$ADDR" ] && break
-    i=$((i + 1))
-    sleep 0.05
-done
-test -n "$ADDR"
-# -worker-hold makes the worker sit on its lease without simulating, so
-# the kill below always lands mid-job.
-/tmp/experiments-verify -worker "http://$ADDR" -worker-poll 10ms \
-    -worker-hold 60s -worker-name crashy 2> /dev/null &
-WORKER_PID=$!
-sleep 0.7
-kill -9 "$WORKER_PID" 2> /dev/null || true
-wait "$WORKER_PID" 2> /dev/null || true
-wait "$COORD_PID"
-cmp /tmp/ccsim-dist-ref.txt /tmp/ccsim-dist-out2.txt
-grep -q "lease expired" /tmp/ccsim-dist-log2.txt
-rm -rf /tmp/ccsim-dist-ref-metrics /tmp/ccsim-dist-metrics \
-    /tmp/ccsim-dist-ref.txt /tmp/ccsim-dist-out.txt /tmp/ccsim-dist-out2.txt \
-    /tmp/ccsim-dist-log.txt /tmp/ccsim-dist-log2.txt /tmp/ccsim-dist-worker.txt
 rm -f /tmp/metricsdiff-verify /tmp/experiments-verify
