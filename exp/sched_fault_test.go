@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +84,39 @@ func TestSchedulerSimFaultInLedger(t *testing.T) {
 	failed := s.Failed()
 	if len(failed) != 1 || failed[0].Cfg.FaultInject == "" {
 		t.Errorf("fault ledger = %+v, want exactly the injected run", failed)
+	}
+}
+
+// TestSchedulerRetryTerminalNotRetried: the scheduler never re-runs a
+// faulted configuration. Every fault kind, the watchdog's included, is a
+// deterministic function of the Config, so each runs exactly once, surfaces
+// its own kind and lands in the ledger once.
+func TestSchedulerRetryTerminalNotRetried(t *testing.T) {
+	for _, kind := range []string{
+		ccsim.FaultPanic, ccsim.FaultInvariant, ccsim.FaultCanceled,
+		ccsim.FaultMaxEvents, ccsim.FaultDeadline, ccsim.FaultDeadlock, ccsim.FaultLivelock,
+	} {
+		t.Run(kind, func(t *testing.T) {
+			var calls atomic.Int64
+			withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
+				calls.Add(1)
+				return nil, &ccsim.SimFault{Kind: kind, Message: "terminal"}
+			})
+			s := NewScheduler(1, "")
+			_, err := s.Submit(cfgN(0)).Wait()
+			if f, ok := ccsim.AsFault(err); !ok || f.Kind != kind {
+				t.Fatalf("err = %v, want the %s fault", err, kind)
+			}
+			if calls.Load() != 1 {
+				t.Fatalf("%s fault ran %d times, want 1", kind, calls.Load())
+			}
+			if st := s.Stats(); st.Failed != 1 || st.Completed != 0 {
+				t.Fatalf("stats = %+v, want one failed run", st)
+			}
+			if failed := s.Failed(); len(failed) != 1 {
+				t.Fatalf("ledger = %+v, want the one faulted run", failed)
+			}
+		})
 	}
 }
 
